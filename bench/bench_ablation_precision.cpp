@@ -44,7 +44,7 @@ std::unique_ptr<mdc::MdcOperator> quantized_operator(
     auto t = tlr::compress_tlr(K, cc);
     auto quant = tlr::quantize_tlr(t, policy);
     kernels.push_back(std::make_unique<mdc::TlrMvm>(
-        tlr::StackedTlr<cf32>(quant.matrix), mdc::TlrKernel::kFused));
+        tlr::StackedTlr<cf32>(quant.matrix)));
   }
   return std::make_unique<mdc::MdcOperator>(data.config.nt, data.freq_bins,
                                             std::move(kernels));

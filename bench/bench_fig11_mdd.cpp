@@ -33,7 +33,7 @@ int main() {
   TablePrinter table({"Panel", "nb", "acc", "NMSE vs truth", "Correlation"});
 
   const auto op_tight =
-      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, tight);
+      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, tight);
   const auto adj = mdd::adjoint_reflectivity(*op_tight, rhs);
   table.add_row({"a) Adjoint (cross-corr.)", cell(tight.nb),
                  bench::acc_cell(tight.acc), "(unscaled)",
@@ -46,7 +46,7 @@ int main() {
                  cell(mdd::correlation(inv_tight.x, truth), 3)});
 
   const auto op_loose =
-      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, loose);
+      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, loose);
   const auto inv_loose = mdd::solve_mdd(*op_loose, rhs, lsqr);
   table.add_row({"c) Inverse, loose acc", cell(loose.nb),
                  bench::acc_cell(loose.acc),

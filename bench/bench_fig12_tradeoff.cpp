@@ -28,7 +28,7 @@ int main() {
   bench_cfg.nb = 32;
   bench_cfg.acc = 1e-4;
   const auto bench_op =
-      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, bench_cfg);
+      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, bench_cfg);
   const auto bench_sol = mdd::solve_mdd(*bench_op, rhs, lsqr);
   const double bench_nmse = mdd::nmse(bench_sol.x, truth);
 
@@ -41,7 +41,7 @@ int main() {
       cc.acc = acc;
       const auto stats = mdd::kernel_compression_stats(data, cc);
       const auto op =
-          mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, cc);
+          mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, cc);
       const auto sol = mdd::solve_mdd(*op, rhs, lsqr);
       const double n = mdd::nmse(sol.x, truth);
       table.add_row(

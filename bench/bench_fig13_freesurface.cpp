@@ -50,7 +50,7 @@ int main() {
   tlr::CompressionConfig cc;
   cc.nb = 24;
   cc.acc = 1e-4;
-  const auto op = mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, cc);
+  const auto op = mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, cc);
   mdd::LsqrConfig lsqr;
   lsqr.max_iters = 30;
 

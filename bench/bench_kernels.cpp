@@ -396,10 +396,8 @@ int main(int argc, char** argv) {
   const double peak = measure_peak(kt);
 
   std::printf(
-      "{\"bench\":\"kernels\",\"simd_compiled\":%s,\"simd_level\":\"%s\","
-      "\"peak_gflops\":%.4f,%s}\n",
-      simd::compiled_in() ? "true" : "false", level, peak,
-      bench::json_meta_fields().c_str());
+      "{\"bench\":\"kernels\",\"simd_level\":\"%s\",\"peak_gflops\":%.4f,%s}\n",
+      level, peak, bench::json_meta_fields().c_str());
 
   // A stack-like tall panel (rank-sum x nb), an L2-resident square, and a
   // larger square where the 8-RHS panels earn their keep on bandwidth.

@@ -72,8 +72,7 @@ std::unique_ptr<mdc::MdcOperator> build_operator() {
     const auto k =
         oscillatory_kernel(kNs, kNr, 3.0 + 0.4 * static_cast<double>(q));
     kernels.push_back(std::make_unique<mdc::TlrMvm>(
-        tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc)),
-        mdc::TlrKernel::kFused));
+        tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc))));
   }
   return std::make_unique<mdc::MdcOperator>(kNt, std::move(bins),
                                             std::move(kernels));

@@ -6,7 +6,7 @@
 // regime Sec. 2 of the paper targets — is fit at band widths 1/2/4/8 and
 // each width reports, as JSON lines:
 //
-//   {"bench":"shared_basis","simd_compiled":true,"simd_level":"avx2",...}
+//   {"bench":"shared_basis","simd_level":"avx2",...}
 //   {"row":"band","band_width":8,"shared_mb":...,"per_freq_mb":...,
 //    "storage_ratio":...,"max_rel_err":...,"per_freq_rel_err":...,
 //    "shared_apply_s":...,"per_freq_apply_s":...,"throughput_ratio":...}
@@ -233,10 +233,8 @@ int main(int argc, char** argv) {
 
   const simd::KernelTable& kt = simd::dispatch();
   std::printf(
-      "{\"bench\":\"shared_basis\",\"simd_compiled\":%s,"
-      "\"simd_level\":\"%s\",\"m\":%lld,\"n\":%lld,\"nb\":%lld,"
-      "\"num_freq\":%lld,\"acc\":%.1e,%s}\n",
-      simd::compiled_in() ? "true" : "false",
+      "{\"bench\":\"shared_basis\",\"simd_level\":\"%s\",\"m\":%lld,"
+      "\"n\":%lld,\"nb\":%lld,\"num_freq\":%lld,\"acc\":%.1e,%s}\n",
       simd::level_name(simd::active_level()), static_cast<long long>(kRows),
       static_cast<long long>(kCols), static_cast<long long>(kNb),
       static_cast<long long>(kNf), kAcc, bench::json_meta_fields().c_str());

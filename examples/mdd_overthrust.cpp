@@ -40,7 +40,7 @@ int main() {
               t_comp.seconds());
 
   const auto op =
-      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, cc);
+      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, cc);
 
   // Invert for a single virtual source on the seafloor (the paper's first
   // experiment uses one at y=1620 m, x=2460 m).

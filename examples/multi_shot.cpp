@@ -24,7 +24,7 @@ int main() {
   tlr::CompressionConfig cc;
   cc.nb = 24;
   cc.acc = 1e-4;
-  const auto op = mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, cc);
+  const auto op = mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, cc);
 
   const auto line =
       mdd::virtual_source_line(data, data.num_receivers() / 2, 8);

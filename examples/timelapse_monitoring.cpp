@@ -67,9 +67,9 @@ int main() {
   cc.nb = 24;
   cc.acc = 1e-4;
   const auto op_base =
-      mdd::make_mdc_operator(base, mdd::KernelBackend::kTlrFused, cc);
+      mdd::make_mdc_operator(base, mdd::KernelBackend::kTlr, cc);
   const auto op_mon =
-      mdd::make_mdc_operator(monitor, mdd::KernelBackend::kTlrFused, cc);
+      mdd::make_mdc_operator(monitor, mdd::KernelBackend::kTlr, cc);
 
   const index_t v = base.num_receivers() / 2;
   mdd::LsqrConfig lsqr;

@@ -202,7 +202,7 @@ struct ArchiveInfo {
 
 /// Builds the MDC operator directly from an archive (no recompression).
 [[nodiscard]] std::unique_ptr<mdc::MdcOperator> make_operator(
-    const KernelArchive& archive, mdc::TlrKernel kernel = mdc::TlrKernel::kFused);
+    const KernelArchive& archive);
 
 /// Shared-basis counterpart: one SharedBasisMvm per frequency, each band's
 /// basis arena compiled once and shared by its frequencies.
@@ -214,8 +214,7 @@ struct ArchiveInfo {
 /// same FrequencyMvm objects without the FFT wrapper, which is what keeps
 /// a distributed solve bitwise identical to the single-process one).
 [[nodiscard]] std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
-    const KernelArchive& archive,
-    mdc::TlrKernel kernel = mdc::TlrKernel::kFused);
+    const KernelArchive& archive);
 [[nodiscard]] std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
     const SharedKernelArchive& archive);
 

@@ -121,7 +121,7 @@ double skip_mat(std::istream& is,
 /// One embedded TLRA kernel's magic, dims, rank table and (version 2)
 /// per-tile precision table. The payload's exact size follows from ranks
 /// and precisions, so skipping costs a single seek.
-struct TlrKernelHeader {
+struct EmbeddedTlrHeader {
   tlr::TileGrid grid;
   std::vector<index_t> ranks;
   std::vector<tlr::StoragePrecision> prec;  // empty = uniform fp32 (v1)
@@ -132,7 +132,7 @@ struct TlrKernelHeader {
   }
 };
 
-TlrKernelHeader read_tlr_kernel_header(std::istream& is,
+EmbeddedTlrHeader read_tlr_kernel_header(std::istream& is,
                                        const std::string& path) {
   if (read_u32(is) != kTlrMagic) {
     throw std::runtime_error("tlrwse::io: bad kernel magic in " + path);
@@ -147,7 +147,7 @@ TlrKernelHeader read_tlr_kernel_header(std::istream& is,
   if (!is) throw std::runtime_error("tlrwse::io: truncated archive");
   TLRWSE_REQUIRE(rows <= kMaxArchiveDim && cols <= kMaxArchiveDim,
                  "corrupt kernel header: dims out of range");
-  TlrKernelHeader h{tlr::TileGrid(rows, cols, nb), {}, {}};
+  EmbeddedTlrHeader h{tlr::TileGrid(rows, cols, nb), {}, {}};
   h.ranks.resize(static_cast<std::size_t>(h.grid.num_tiles()));
   for (index_t j = 0; j < h.grid.nt(); ++j) {
     for (index_t i = 0; i < h.grid.mt(); ++i) {
@@ -185,7 +185,7 @@ TlrKernelHeader read_tlr_kernel_header(std::istream& is,
 /// Factor payload bytes of one kernel (excluding per-tile dim headers),
 /// at each tile's true on-disk precision — the residency currency cache
 /// admission and stream planning price against.
-double tlr_factor_bytes(const TlrKernelHeader& h) {
+double tlr_factor_bytes(const EmbeddedTlrHeader& h) {
   double bytes = 0.0;
   for (index_t j = 0; j < h.grid.nt(); ++j) {
     for (index_t i = 0; i < h.grid.mt(); ++i) {
@@ -200,7 +200,7 @@ double tlr_factor_bytes(const TlrKernelHeader& h) {
 }
 
 /// Seeks past one kernel's tile payload (4 i64 dims + factors per tile).
-void skip_tlr_tiles(std::istream& is, const TlrKernelHeader& h) {
+void skip_tlr_tiles(std::istream& is, const EmbeddedTlrHeader& h) {
   std::int64_t bytes = 0;
   for (index_t j = 0; j < h.grid.nt(); ++j) {
     for (index_t i = 0; i < h.grid.mt(); ++i) {
@@ -217,7 +217,7 @@ void skip_tlr_tiles(std::istream& is, const TlrKernelHeader& h) {
 }
 
 tlr::TlrMatrix<cf32> read_tlr_tiles(std::istream& is,
-                                    const TlrKernelHeader& h) {
+                                    const EmbeddedTlrHeader& h) {
   const tlr::TileGrid& g = h.grid;
   std::vector<la::LowRankFactors<cf32>> tiles(
       static_cast<std::size_t>(g.num_tiles()));
@@ -376,7 +376,7 @@ ArchiveInfo peek_archive_extents(const std::string& path) {
     double total = 0.0;
     for (index_t q = 0; q < nf; ++q) {
       const auto offset = static_cast<std::int64_t>(is.tellg());
-      const TlrKernelHeader h = read_tlr_kernel_header(is, path);
+      const EmbeddedTlrHeader h = read_tlr_kernel_header(is, path);
       if (q == 0) {
         info.rows = h.grid.rows();
         info.cols = h.grid.cols();
@@ -512,14 +512,14 @@ KernelArchive load_archive_range(const std::string& path, index_t q_begin,
       is.seekg(info->extents[static_cast<std::size_t>(q_begin)].offset);
       if (!is) throw std::runtime_error("tlrwse::io: truncated archive");
       for (index_t q = q_begin; q < q_end; ++q) {
-        const TlrKernelHeader h = read_tlr_kernel_header(is, path);
+        const EmbeddedTlrHeader h = read_tlr_kernel_header(is, path);
         archive.kernels.push_back(read_tlr_tiles(is, h));
       }
     }
     return archive;
   }
   for (index_t q = 0; q < q_end; ++q) {
-    const TlrKernelHeader h = read_tlr_kernel_header(is, path);
+    const EmbeddedTlrHeader h = read_tlr_kernel_header(is, path);
     if (q < q_begin) {
       skip_tlr_tiles(is, h);
     } else {
@@ -565,20 +565,18 @@ KernelArchive load_archive_slice(const std::string& path, index_t q_begin,
 }
 
 std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
-    const KernelArchive& archive, mdc::TlrKernel kernel) {
+    const KernelArchive& archive) {
   std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
   kernels.reserve(static_cast<std::size_t>(archive.num_freqs()));
   for (const auto& k : archive.kernels) {
-    kernels.push_back(
-        std::make_unique<mdc::TlrMvm>(tlr::StackedTlr<cf32>(k), kernel));
+    kernels.push_back(std::make_unique<mdc::TlrMvm>(tlr::StackedTlr<cf32>(k)));
   }
   return kernels;
 }
 
-std::unique_ptr<mdc::MdcOperator> make_operator(const KernelArchive& archive,
-                                                mdc::TlrKernel kernel) {
+std::unique_ptr<mdc::MdcOperator> make_operator(const KernelArchive& archive) {
   return std::make_unique<mdc::MdcOperator>(archive.nt, archive.freq_bins,
-                                            make_kernels(archive, kernel));
+                                            make_kernels(archive));
 }
 
 std::vector<double> archive_kernel_bytes(const std::string& path) {
@@ -949,7 +947,7 @@ std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
   std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
   kernels.reserve(static_cast<std::size_t>(archive.num_freqs()));
   for (const auto& band : archive.bands) {
-    auto band_kernels = mdc::make_shared_basis_kernels(band);
+    auto band_kernels = mdc::make_shared_basis_kernels(*band);
     for (auto& k : band_kernels) kernels.push_back(std::move(k));
   }
   return kernels;

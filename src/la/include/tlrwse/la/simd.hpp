@@ -20,8 +20,11 @@
 // Selection: `dispatch()` resolves the best tier compiled in AND supported
 // by the host, overridable by the TLRWSE_SIMD_LEVEL environment variable
 // ("scalar" | "neon" | "avx2" | "avx512"; requests above what the host
-// supports clamp downward). With -DTLRWSE_SIMD=OFF only the scalar tier is
-// compiled and dispatch() always returns it.
+// supports clamp downward). A vector tier is compiled in whenever the
+// compiler targets its ISA (x86-64 builds compile the AVX2 and AVX-512 TUs
+// with their own flags; aarch64 always has NEON); TLRWSE_SIMD_LEVEL=scalar
+// is the portable path. These kernels serve the only host TLR apply paths,
+// one per compressed format: tlr::MvmPlan and tlr::SharedBasisMvmPlan.
 #pragma once
 
 #include <cstdint>
@@ -107,9 +110,6 @@ struct KernelTable {
   /// Interleave planar re/im back into a complex vector.
   void (*merge_complex)(index_t n, const float* re, const float* im, cf32* y);
 };
-
-/// True when the CMake option TLRWSE_SIMD compiled the vector tiers in.
-[[nodiscard]] bool compiled_in() noexcept;
 
 [[nodiscard]] const char* level_name(Level level) noexcept;
 

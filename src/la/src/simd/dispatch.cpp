@@ -142,14 +142,6 @@ const Availability& availability() {
 
 }  // namespace
 
-bool compiled_in() noexcept {
-#if defined(TLRWSE_SIMD_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
-
 const char* level_name(Level level) noexcept {
   switch (level) {
     case Level::kScalar:

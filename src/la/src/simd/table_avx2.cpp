@@ -1,16 +1,15 @@
 // AVX2+FMA tier (8-wide). This TU is always listed in the build; the body
-// only materialises when the build enabled TLRWSE_SIMD and compiled this
-// file with -mavx2 -mfma (see src/la/CMakeLists.txt), so configurations
-// without the flags still link.
+// only materialises when this file is compiled with -mavx2 -mfma (x86-64,
+// see src/la/CMakeLists.txt), so other targets still link.
 #include "kernels_impl.hpp"
 
-#if defined(TLRWSE_SIMD_ENABLED) && defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #endif
 
 namespace tlrwse::la::simd::detail {
 
-#if defined(TLRWSE_SIMD_ENABLED) && defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) && defined(__FMA__)
 
 namespace {
 

@@ -1,15 +1,15 @@
 // AVX-512 tier (16-wide): one register holds a full dot-form lane block,
 // so the fixed 16-lane reduction costs a single store. Compiled with
-// -mavx512f only when TLRWSE_SIMD is on (see src/la/CMakeLists.txt).
+// -mavx512f on x86-64 (see src/la/CMakeLists.txt).
 #include "kernels_impl.hpp"
 
-#if defined(TLRWSE_SIMD_ENABLED) && defined(__AVX512F__)
+#if defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
 namespace tlrwse::la::simd::detail {
 
-#if defined(TLRWSE_SIMD_ENABLED) && defined(__AVX512F__)
+#if defined(__AVX512F__)
 
 namespace {
 

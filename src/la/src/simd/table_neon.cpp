@@ -3,13 +3,13 @@
 // so the bitwise-parity contract holds here too.
 #include "kernels_impl.hpp"
 
-#if defined(TLRWSE_SIMD_ENABLED) && defined(__aarch64__)
+#if defined(__aarch64__)
 #include <arm_neon.h>
 #endif
 
 namespace tlrwse::la::simd::detail {
 
-#if defined(TLRWSE_SIMD_ENABLED) && defined(__aarch64__)
+#if defined(__aarch64__)
 
 namespace {
 

@@ -2,37 +2,33 @@
 //
 // The MDC operator applies, at every retained frequency, the kernel matrix
 // K_f to the transformed wavefield. The paper's contribution is swapping
-// the dense backend for TLR-MVM; both are provided here behind one
-// interface, plus the 3-phase/fused kernel choice and the real-split path.
+// the dense backend for TLR-MVM; each storage format has exactly one host
+// execution path behind this interface: DenseMvm (la::gemv), TlrMvm (a
+// compiled tlr::MvmPlan) and SharedBasisMvm (one frequency of a band-shared
+// tlr::SharedBasisMvmPlan). The paper's stacked 3-phase / fused layouts and
+// the four-real-MVM split live on in src/tlr as reference oracles only.
 //
 // Two apply signatures exist: the workspace-carrying overloads are the hot
 // path (the MDC frequency loop hands each OpenMP thread its own
 // FrequencyWorkspace, so steady-state applies never allocate), and the
-// legacy two-argument forms remain valid for casual callers — TlrMvm
-// routes them through an internal per-thread pool rather than allocating.
+// two-argument forms remain valid for casual callers — they run through
+// one thread-local workspace per calling thread rather than allocating.
 #pragma once
 
 #include <memory>
 #include <span>
 
-#include "tlrwse/common/workspace_pool.hpp"
 #include "tlrwse/la/blas.hpp"
-#include "tlrwse/la/simd.hpp"
 #include "tlrwse/tlr/mvm_plan.hpp"
-#include "tlrwse/tlr/real_split.hpp"
-#include "tlrwse/tlr/shared_basis.hpp"
-#include "tlrwse/tlr/tlr_mvm.hpp"
+#include "tlrwse/tlr/shared_basis_plan.hpp"
 
 namespace tlrwse::mdc {
 
-/// Reusable scratch for one FrequencyMvm apply. Backends use the members
-/// they need (DenseMvm none, TlrMvm the plan, TLR, and/or split buffers);
-/// one instance must not be shared by concurrent calls.
+/// Reusable scratch for one FrequencyMvm apply: the plan workspace of the
+/// TLR and shared-basis backends (DenseMvm needs none). One instance must
+/// not be shared by concurrent calls.
 struct FrequencyWorkspace {
-  tlr::MvmWorkspace<cf32> tlr;
-  tlr::RealSplitWorkspace<float> split;
   tlr::PlanWorkspace plan;
-  tlr::SharedBasisWorkspace<cf32> shared;
 };
 
 /// One frequency slice of the kernel: y = K x and y = K^H x.
@@ -41,25 +37,25 @@ class FrequencyMvm {
   virtual ~FrequencyMvm() = default;
   [[nodiscard]] virtual index_t rows() const = 0;
   [[nodiscard]] virtual index_t cols() const = 0;
-  virtual void apply(std::span<const cf32> x, std::span<cf32> y) const = 0;
-  virtual void apply_adjoint(std::span<const cf32> x,
-                             std::span<cf32> y) const = 0;
-  /// Workspace-carrying overloads; the default forwards to the legacy
-  /// signature for backends with no scratch of their own.
+  /// Workspace-carrying forms: the hot path.
   virtual void apply(std::span<const cf32> x, std::span<cf32> y,
-                     FrequencyWorkspace& /*ws*/) const {
-    apply(x, y);
-  }
+                     FrequencyWorkspace& ws) const = 0;
   virtual void apply_adjoint(std::span<const cf32> x, std::span<cf32> y,
-                             FrequencyWorkspace& /*ws*/) const {
-    apply_adjoint(x, y);
+                             FrequencyWorkspace& ws) const = 0;
+  /// Two-argument forms: run through the calling thread's workspace.
+  virtual void apply(std::span<const cf32> x, std::span<cf32> y) const {
+    apply(x, y, thread_workspace());
+  }
+  virtual void apply_adjoint(std::span<const cf32> x,
+                             std::span<cf32> y) const {
+    apply_adjoint(x, y, thread_workspace());
   }
   /// Multi-RHS forms: X holds nrhs input vectors back to back (cols() apart
   /// for apply, rows() apart for the adjoint), Y the matching outputs. The
   /// default loops over single-RHS applies; backends with a real multi-RHS
-  /// kernel (TlrMvm's plan) override to amortise one sweep over the
-  /// operator across all RHS. Every RHS column must equal the
-  /// corresponding single-RHS call bitwise.
+  /// kernel (the plans) override to amortise one sweep over the operator
+  /// across all RHS. Every RHS column must equal the corresponding
+  /// single-RHS call bitwise.
   virtual void apply_batch(std::span<const cf32> X, std::span<cf32> Y,
                            index_t nrhs, FrequencyWorkspace& ws) const {
     const std::size_t nin = static_cast<std::size_t>(cols());
@@ -78,6 +74,14 @@ class FrequencyMvm {
                     Y.subspan(static_cast<std::size_t>(r) * nout, nout), ws);
     }
   }
+
+ protected:
+  /// The calling thread's workspace, shared by every backend's
+  /// two-argument calls on that thread (grown on first use, then reused).
+  static FrequencyWorkspace& thread_workspace() {
+    thread_local FrequencyWorkspace ws;
+    return ws;
+  }
 };
 
 /// Dense reference backend.
@@ -88,10 +92,12 @@ class DenseMvm final : public FrequencyMvm {
   using FrequencyMvm::apply_adjoint;
   [[nodiscard]] index_t rows() const override { return K_.rows(); }
   [[nodiscard]] index_t cols() const override { return K_.cols(); }
-  void apply(std::span<const cf32> x, std::span<cf32> y) const override {
+  void apply(std::span<const cf32> x, std::span<cf32> y,
+             FrequencyWorkspace& /*ws*/) const override {
     la::gemv(K_, x, y);
   }
-  void apply_adjoint(std::span<const cf32> x, std::span<cf32> y) const override {
+  void apply_adjoint(std::span<const cf32> x, std::span<cf32> y,
+                     FrequencyWorkspace& /*ws*/) const override {
     la::gemv_adjoint(K_, x, y);
   }
 
@@ -99,182 +105,89 @@ class DenseMvm final : public FrequencyMvm {
   la::MatrixCF K_;
 };
 
-enum class TlrKernel { kThreePhase, kFused, kRealSplit };
-
-/// TLR backend over precomputed stacks; kernel variant selectable.
-///
-/// When the build carries the SIMD engine (TLRWSE_SIMD=ON), construction
-/// also compiles an MvmPlan — the arena + shuffle-program execution form —
-/// and every apply routes through it, whatever `kernel` names; the scalar
-/// kernel variants stay reachable through the free tlr:: functions. With
-/// TLRWSE_SIMD=OFF no plan exists and the selected scalar variant runs,
-/// bit-identical to the pre-SIMD tree.
+/// TLR backend: owns the compiled MvmPlan of one frequency's stacks (the
+/// plan copies every factor into its own arena, so the stacks are not
+/// kept).
 class TlrMvm final : public FrequencyMvm {
  public:
-  TlrMvm(tlr::StackedTlr<cf32> stacks, TlrKernel kernel)
-      : stacks_(std::move(stacks)), kernel_(kernel) {
-    if (la::simd::compiled_in()) {
-      plan_ = std::make_unique<tlr::MvmPlan>(stacks_);
-    } else if (kernel_ == TlrKernel::kRealSplit) {
-      split_ = std::make_unique<tlr::RealSplitStacks<float>>(stacks_);
-    }
-  }
-  [[nodiscard]] index_t rows() const override { return stacks_.grid().rows(); }
-  [[nodiscard]] index_t cols() const override { return stacks_.grid().cols(); }
-  void apply(std::span<const cf32> x, std::span<cf32> y) const override {
-    apply(x, y, pool_.local());
-  }
-  void apply_adjoint(std::span<const cf32> x, std::span<cf32> y) const override {
-    apply_adjoint(x, y, pool_.local());
-  }
+  explicit TlrMvm(const tlr::StackedTlr<cf32>& stacks) : plan_(stacks) {}
+  using FrequencyMvm::apply;
+  using FrequencyMvm::apply_adjoint;
+  [[nodiscard]] index_t rows() const override { return plan_.rows(); }
+  [[nodiscard]] index_t cols() const override { return plan_.cols(); }
   void apply(std::span<const cf32> x, std::span<cf32> y,
              FrequencyWorkspace& ws) const override {
-    if (plan_) {
-      plan_->apply(x, y, ws.plan);
-      return;
-    }
-    switch (kernel_) {
-      case TlrKernel::kThreePhase:
-        tlr::tlr_mvm_3phase(stacks_, x, y, ws.tlr);
-        break;
-      case TlrKernel::kFused:
-        tlr::tlr_mvm_fused(stacks_, x, y, ws.tlr);
-        break;
-      case TlrKernel::kRealSplit:
-        tlr::tlr_mvm_real_split(*split_, x, y, ws.split);
-        break;
-    }
+    plan_.apply(x, y, ws.plan);
   }
   void apply_adjoint(std::span<const cf32> x, std::span<cf32> y,
                      FrequencyWorkspace& ws) const override {
-    if (plan_) {
-      plan_->apply_adjoint(x, y, ws.plan);
-      return;
-    }
-    tlr::tlr_mvm_adjoint(stacks_, x, y, ws.tlr);
+    plan_.apply_adjoint(x, y, ws.plan);
   }
   void apply_batch(std::span<const cf32> X, std::span<cf32> Y, index_t nrhs,
                    FrequencyWorkspace& ws) const override {
-    if (plan_) {
-      plan_->apply_multi(X, Y, nrhs, ws.plan);
-      return;
-    }
-    FrequencyMvm::apply_batch(X, Y, nrhs, ws);
+    plan_.apply_multi(X, Y, nrhs, ws.plan);
   }
   void apply_adjoint_batch(std::span<const cf32> X, std::span<cf32> Y,
                            index_t nrhs,
                            FrequencyWorkspace& ws) const override {
-    if (plan_) {
-      plan_->apply_adjoint_multi(X, Y, nrhs, ws.plan);
-      return;
-    }
-    FrequencyMvm::apply_adjoint_batch(X, Y, nrhs, ws);
-  }
-  /// Test hook: number of pooled per-thread workspaces materialised by
-  /// legacy-signature calls.
-  [[nodiscard]] std::size_t pooled_workspaces() const {
-    return pool_.active_slots();
-  }
-  /// The compiled plan, or nullptr when the build has no SIMD engine.
-  [[nodiscard]] const tlr::MvmPlan* plan() const noexcept {
-    return plan_.get();
+    plan_.apply_adjoint_multi(X, Y, nrhs, ws.plan);
   }
 
  private:
-  tlr::StackedTlr<cf32> stacks_;
-  TlrKernel kernel_;
-  std::unique_ptr<tlr::RealSplitStacks<float>> split_;
-  std::unique_ptr<tlr::MvmPlan> plan_;
-  WorkspacePool<FrequencyWorkspace> pool_;
+  tlr::MvmPlan plan_;
 };
 
 /// Shared-basis backend: one frequency slice of a band whose tile bases
 /// are shared (tlr::SharedBasisStackedTlr). All slices of one band hold
-/// the SAME band object and — when the build carries the SIMD engine —
 /// the SAME compiled SharedBasisMvmPlan, so the basis arena is laid out
 /// once and stays hot as the MDC frequency loop walks the band; only the
 /// small per-frequency core program changes between slices. Construct the
 /// band's kernels with make_shared_basis_kernels().
 class SharedBasisMvm final : public FrequencyMvm {
  public:
-  SharedBasisMvm(std::shared_ptr<const tlr::SharedBasisStackedTlr<cf32>> band,
-                 std::shared_ptr<const tlr::SharedBasisMvmPlan> plan,
+  SharedBasisMvm(std::shared_ptr<const tlr::SharedBasisMvmPlan> plan,
                  index_t freq)
-      : band_(std::move(band)), plan_(std::move(plan)), freq_(freq) {
-    TLRWSE_REQUIRE(band_ != nullptr, "SharedBasisMvm: null band");
-    TLRWSE_REQUIRE(freq_ >= 0 && freq_ < band_->num_freqs(),
+      : plan_(std::move(plan)), freq_(freq) {
+    TLRWSE_REQUIRE(plan_ != nullptr, "SharedBasisMvm: null plan");
+    TLRWSE_REQUIRE(freq_ >= 0 && freq_ < plan_->num_freqs(),
                    "SharedBasisMvm: frequency index out of range");
   }
-  [[nodiscard]] index_t rows() const override { return band_->rows(); }
-  [[nodiscard]] index_t cols() const override { return band_->cols(); }
-  void apply(std::span<const cf32> x, std::span<cf32> y) const override {
-    apply(x, y, pool_.local());
-  }
-  void apply_adjoint(std::span<const cf32> x, std::span<cf32> y) const override {
-    apply_adjoint(x, y, pool_.local());
-  }
+  using FrequencyMvm::apply;
+  using FrequencyMvm::apply_adjoint;
+  [[nodiscard]] index_t rows() const override { return plan_->rows(); }
+  [[nodiscard]] index_t cols() const override { return plan_->cols(); }
   void apply(std::span<const cf32> x, std::span<cf32> y,
              FrequencyWorkspace& ws) const override {
-    if (plan_) {
-      plan_->apply(freq_, x, y, ws.plan);
-      return;
-    }
-    band_->apply(freq_, x, y, ws.shared);
+    plan_->apply(freq_, x, y, ws.plan);
   }
   void apply_adjoint(std::span<const cf32> x, std::span<cf32> y,
                      FrequencyWorkspace& ws) const override {
-    if (plan_) {
-      plan_->apply_adjoint(freq_, x, y, ws.plan);
-      return;
-    }
-    band_->apply_adjoint(freq_, x, y, ws.shared);
+    plan_->apply_adjoint(freq_, x, y, ws.plan);
   }
   void apply_batch(std::span<const cf32> X, std::span<cf32> Y, index_t nrhs,
                    FrequencyWorkspace& ws) const override {
-    if (plan_) {
-      plan_->apply_multi(freq_, X, Y, nrhs, ws.plan);
-      return;
-    }
-    FrequencyMvm::apply_batch(X, Y, nrhs, ws);
+    plan_->apply_multi(freq_, X, Y, nrhs, ws.plan);
   }
   void apply_adjoint_batch(std::span<const cf32> X, std::span<cf32> Y,
                            index_t nrhs,
                            FrequencyWorkspace& ws) const override {
-    if (plan_) {
-      plan_->apply_adjoint_multi(freq_, X, Y, nrhs, ws.plan);
-      return;
-    }
-    FrequencyMvm::apply_adjoint_batch(X, Y, nrhs, ws);
-  }
-  [[nodiscard]] index_t freq() const noexcept { return freq_; }
-  [[nodiscard]] const tlr::SharedBasisStackedTlr<cf32>& band() const {
-    return *band_;
-  }
-  /// The band-shared plan, or nullptr when the build has no SIMD engine.
-  [[nodiscard]] const tlr::SharedBasisMvmPlan* plan() const noexcept {
-    return plan_.get();
+    plan_->apply_adjoint_multi(freq_, X, Y, nrhs, ws.plan);
   }
 
  private:
-  std::shared_ptr<const tlr::SharedBasisStackedTlr<cf32>> band_;
   std::shared_ptr<const tlr::SharedBasisMvmPlan> plan_;
   index_t freq_;
-  WorkspacePool<FrequencyWorkspace> pool_;
 };
 
-/// Builds one FrequencyMvm per frequency of the band, all sharing the band
-/// object and (with SIMD compiled in) one SharedBasisMvmPlan.
+/// Builds one FrequencyMvm per frequency of the band, all sharing one
+/// SharedBasisMvmPlan compiled from it.
 inline std::vector<std::unique_ptr<FrequencyMvm>> make_shared_basis_kernels(
-    std::shared_ptr<const tlr::SharedBasisStackedTlr<cf32>> band) {
-  TLRWSE_REQUIRE(band != nullptr, "make_shared_basis_kernels: null band");
-  std::shared_ptr<const tlr::SharedBasisMvmPlan> plan;
-  if (la::simd::compiled_in()) {
-    plan = std::make_shared<const tlr::SharedBasisMvmPlan>(*band);
-  }
+    const tlr::SharedBasisStackedTlr<cf32>& band) {
+  const auto plan = std::make_shared<const tlr::SharedBasisMvmPlan>(band);
   std::vector<std::unique_ptr<FrequencyMvm>> kernels;
-  kernels.reserve(static_cast<std::size_t>(band->num_freqs()));
-  for (index_t f = 0; f < band->num_freqs(); ++f) {
-    kernels.push_back(std::make_unique<SharedBasisMvm>(band, plan, f));
+  kernels.reserve(static_cast<std::size_t>(plan->num_freqs()));
+  for (index_t f = 0; f < plan->num_freqs(); ++f) {
+    kernels.push_back(std::make_unique<SharedBasisMvm>(plan, f));
   }
   return kernels;
 }

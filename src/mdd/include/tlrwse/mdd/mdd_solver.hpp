@@ -19,16 +19,16 @@ namespace tlrwse::mdd {
 
 enum class KernelBackend {
   kDense,
-  kTlr3Phase,
-  kTlrFused,
-  kTlrRealSplit,
+  // TLR: per-frequency tile low-rank kernels (tlr::StackedTlr run as an
+  // MvmPlan).
+  kTlr,
   // Shared-basis TLR: tile bases fit once across the whole frequency band,
   // per-frequency cores only (tlr::SharedBasisStackedTlr).
   kTlrSharedBasis,
 };
 
 struct MddConfig {
-  KernelBackend backend = KernelBackend::kTlrFused;
+  KernelBackend backend = KernelBackend::kTlr;
   tlr::CompressionConfig compression;  // used by the TLR backends
   LsqrConfig lsqr;
 };

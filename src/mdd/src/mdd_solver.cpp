@@ -1,6 +1,7 @@
 #include "tlrwse/mdd/mdd_solver.hpp"
 
 #include "tlrwse/common/error.hpp"
+#include "tlrwse/tlr/shared_basis.hpp"
 #include "tlrwse/tlr/stacked.hpp"
 
 namespace tlrwse::mdd {
@@ -37,12 +38,10 @@ std::unique_ptr<mdc::MdcOperator> make_mdc_operator(
     sb.nb = compression.nb;
     sb.acc = compression.acc;
     sb.max_rank = compression.max_rank;
-    auto shared = std::make_shared<const tlr::SharedBasisStackedTlr<cf32>>(
-        tlr::SharedBasisStackedTlr<cf32>::fit(
-            std::span<const la::MatrixCF>(band), sb));
     return std::make_unique<mdc::MdcOperator>(
         data.config.nt, data.freq_bins,
-        mdc::make_shared_basis_kernels(std::move(shared)));
+        mdc::make_shared_basis_kernels(tlr::SharedBasisStackedTlr<cf32>::fit(
+            std::span<const la::MatrixCF>(band), sb)));
   }
   std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
   kernels.reserve(static_cast<std::size_t>(data.num_freqs()));
@@ -52,13 +51,8 @@ std::unique_ptr<mdc::MdcOperator> make_mdc_operator(
       kernels.push_back(std::make_unique<mdc::DenseMvm>(std::move(K)));
       continue;
     }
-    const auto tlr_mat = tlr::compress_tlr(K, compression);
-    tlr::StackedTlr<cf32> stacks(tlr_mat);
-    const mdc::TlrKernel kind =
-        (backend == KernelBackend::kTlr3Phase)  ? mdc::TlrKernel::kThreePhase
-        : (backend == KernelBackend::kTlrFused) ? mdc::TlrKernel::kFused
-                                                : mdc::TlrKernel::kRealSplit;
-    kernels.push_back(std::make_unique<mdc::TlrMvm>(std::move(stacks), kind));
+    kernels.push_back(std::make_unique<mdc::TlrMvm>(
+        tlr::StackedTlr<cf32>(tlr::compress_tlr(K, compression))));
   }
   return std::make_unique<mdc::MdcOperator>(data.config.nt, data.freq_bins,
                                             std::move(kernels));

@@ -72,8 +72,7 @@ class ShardSource {
 class ArchiveShardSource final : public ShardSource {
  public:
   /// `info` must be an extents peek of `path` (has_extents()).
-  ArchiveShardSource(std::string path, io::ArchiveInfo info,
-                     mdc::TlrKernel kernel = mdc::TlrKernel::kFused);
+  ArchiveShardSource(std::string path, io::ArchiveInfo info);
   [[nodiscard]] index_t rows() const override { return info_.rows; }
   [[nodiscard]] index_t cols() const override { return info_.cols; }
   [[nodiscard]] ShardKernels load(index_t q_begin, index_t q_end) override;
@@ -81,7 +80,6 @@ class ArchiveShardSource final : public ShardSource {
  private:
   std::string path_;
   io::ArchiveInfo info_;
-  mdc::TlrKernel kernel_;
 };
 
 struct StreamConfig {

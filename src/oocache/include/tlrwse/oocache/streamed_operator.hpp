@@ -28,7 +28,6 @@ struct StreamedOperator {
 /// double-buffer window (unless cfg.grow_to_window lifts it), and the
 /// usual io errors for an unreadable archive.
 [[nodiscard]] StreamedOperator make_streamed_operator(
-    const std::string& path, const StreamConfig& cfg,
-    mdc::TlrKernel kernel = mdc::TlrKernel::kFused);
+    const std::string& path, const StreamConfig& cfg);
 
 }  // namespace tlrwse::oocache

@@ -61,9 +61,8 @@ void validate_shard(const ShardKernels& loaded, index_t q_begin,
 
 }  // namespace
 
-ArchiveShardSource::ArchiveShardSource(std::string path, io::ArchiveInfo info,
-                                       mdc::TlrKernel kernel)
-    : path_(std::move(path)), info_(std::move(info)), kernel_(kernel) {
+ArchiveShardSource::ArchiveShardSource(std::string path, io::ArchiveInfo info)
+    : path_(std::move(path)), info_(std::move(info)) {
   TLRWSE_REQUIRE(info_.has_extents(),
                  "archive shard source needs an extents peek");
   TLRWSE_REQUIRE(info_.rows > 0 && info_.cols > 0,
@@ -81,7 +80,7 @@ ShardKernels ArchiveShardSource::load(index_t q_begin, index_t q_end) {
     const io::KernelArchive slice =
         io::load_archive_slice(path_, q_begin, q_end, info_);
     out.bytes = slice.compressed_bytes();
-    out.kernels = io::make_kernels(slice, kernel_);
+    out.kernels = io::make_kernels(slice);
   }
   return out;
 }

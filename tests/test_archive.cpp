@@ -111,7 +111,7 @@ TEST(Archive, MatchesDirectTlrOperator) {
   const auto archive = build_archive(data, cc());
   const auto op_arch = make_operator(archive);
   const auto op_direct =
-      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, cc());
+      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, cc());
   const index_t v = 2;
   const auto rhs = mdd::virtual_source_rhs(data, v);
   mdd::LsqrConfig lsqr;

@@ -209,7 +209,7 @@ TEST(GatedMdd, UsableSolutionConfinedToTheGate) {
   tlr::CompressionConfig cc;
   cc.nb = 16;
   cc.acc = 1e-4;
-  const auto op = make_mdc_operator(data, KernelBackend::kTlrFused, cc);
+  const auto op = make_mdc_operator(data, KernelBackend::kTlr, cc);
 
   LsqrConfig lsqr;
   lsqr.max_iters = 15;
@@ -246,7 +246,7 @@ TEST(GatedMdd, SuppressesAcausalNoiseEnergy) {
   tlr::CompressionConfig cc;
   cc.nb = 16;
   cc.acc = 1e-4;
-  const auto op = make_mdc_operator(data, KernelBackend::kTlrFused, cc);
+  const auto op = make_mdc_operator(data, KernelBackend::kTlr, cc);
   LsqrConfig lsqr;
   lsqr.max_iters = 15;
   const auto plain = solve_mdd(*op, rhs, lsqr);
@@ -280,7 +280,7 @@ TEST(GatedMdd, GateSizeValidated) {
   tlr::CompressionConfig cc;
   cc.nb = 16;
   cc.acc = 1e-3;
-  const auto op = make_mdc_operator(data, KernelBackend::kTlrFused, cc);
+  const auto op = make_mdc_operator(data, KernelBackend::kTlr, cc);
   std::vector<float> bad_gate(5, 1.0f);
   EXPECT_THROW((void)solve_mdd_gated(*op, rhs, bad_gate, LsqrConfig{}),
                std::invalid_argument);

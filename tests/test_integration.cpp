@@ -7,6 +7,7 @@
 #include "tlrwse/mdd/mdd_solver.hpp"
 #include "tlrwse/mdd/metrics.hpp"
 #include "tlrwse/tlr/stacked.hpp"
+#include "tlrwse/tlr/tlr_mvm.hpp"
 #include "tlrwse/wse/functional.hpp"
 #include "tlrwse/wse/machine.hpp"
 
@@ -39,7 +40,7 @@ TEST(Integration, CompressOperateInvert) {
   EXPECT_GT(stats.ratio(), 1.0);
 
   // TLR-backed MDD inversion recovers the known truth.
-  const auto op = mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, cc);
+  const auto op = mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, cc);
   const index_t v = data.num_receivers() / 3;
   const auto rhs = mdd::virtual_source_rhs(data, v);
   const auto truth = mdd::true_reflectivity_traces(data, v);

@@ -6,7 +6,10 @@
 #include "test_helpers.hpp"
 #include "tlrwse/fft/fft.hpp"
 #include "tlrwse/mdc/mdc_operator.hpp"
+#include "tlrwse/tlr/real_split.hpp"
+#include "tlrwse/tlr/shared_basis.hpp"
 #include "tlrwse/tlr/tlr_matrix.hpp"
+#include "tlrwse/tlr/tlr_mvm.hpp"
 
 namespace tlrwse::mdc {
 namespace {
@@ -145,9 +148,8 @@ TEST(MdcOperator, TlrBackendMatchesDense) {
   cc.acc = 1e-6;
   std::vector<std::unique_ptr<FrequencyMvm>> kernels;
   for (const auto& k : f.ks) {
-    tlr::StackedTlr<cf32> stacks(tlr::compress_tlr(k, cc));
-    kernels.push_back(
-        std::make_unique<TlrMvm>(std::move(stacks), TlrKernel::kFused));
+    kernels.push_back(std::make_unique<TlrMvm>(
+        tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc))));
   }
   MdcOperator tlr_op(f.nt, f.bins, std::move(kernels));
 
@@ -211,9 +213,8 @@ TEST_P(MdcTileSizes, PerFrequencyTlrMatchesDense) {
   cc.acc = 1e-6;
   std::vector<std::unique_ptr<FrequencyMvm>> kernels;
   for (const auto& k : ks) {
-    tlr::StackedTlr<cf32> stacks(tlr::compress_tlr(k, cc));
-    kernels.push_back(
-        std::make_unique<TlrMvm>(std::move(stacks), TlrKernel::kFused));
+    kernels.push_back(std::make_unique<TlrMvm>(
+        tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc))));
   }
   MdcOperator tlr_op(kNt, bins, std::move(kernels));
   EXPECT_LT(rel_apply_error(tlr_op, *dense_op), 1e-3) << "nb=" << GetParam();
@@ -225,10 +226,9 @@ TEST_P(MdcTileSizes, SharedBasisMatchesDense) {
   tlr::SharedBasisConfig sc;
   sc.nb = GetParam();
   sc.acc = 1e-6;
-  auto band = std::make_shared<const tlr::SharedBasisStackedTlr<cf32>>(
-      tlr::SharedBasisStackedTlr<cf32>::fit(
-          std::span<const la::MatrixCF>(ks), sc));
-  MdcOperator shared_op(kNt, bins, make_shared_basis_kernels(std::move(band)));
+  const auto band = tlr::SharedBasisStackedTlr<cf32>::fit(
+      std::span<const la::MatrixCF>(ks), sc);
+  MdcOperator shared_op(kNt, bins, make_shared_basis_kernels(band));
   EXPECT_LT(rel_apply_error(shared_op, *dense_op), 1e-3) << "nb=" << GetParam();
 
   // Adjoint dot test at this tile size through the shared path.
@@ -252,24 +252,37 @@ TEST_P(MdcTileSizes, SharedBasisMatchesDense) {
 
 INSTANTIATE_TEST_SUITE_P(TileSizes, MdcTileSizes, ::testing::Values(32, 64, 128));
 
-TEST(FrequencyMvm, TlrKernelVariantsAgree) {
+// TlrMvm runs the compiled MvmPlan; the paper's stacked 3-phase, fused and
+// real-split kernels and the stacked adjoint stay in src/tlr as oracles.
+TEST(FrequencyMvm, TlrMvmMatchesOracles) {
   const auto k = tlrwse::testing::oscillatory_matrix<cf32>(30, 24, 9.0);
   tlr::CompressionConfig cc;
   cc.nb = 8;
   cc.acc = 1e-5;
-  const auto t = tlr::compress_tlr(k, cc);
+  const tlr::StackedTlr<cf32> stacks(tlr::compress_tlr(k, cc));
+  const TlrMvm mvm(stacks);
 
   Rng rng(13);
   const auto x = tlrwse::testing::random_vector<cf32>(rng, 24);
-  std::vector<cf32> y3(30), yf(30), yr(30);
-  TlrMvm m3(tlr::StackedTlr<cf32>(t), TlrKernel::kThreePhase);
-  TlrMvm mf(tlr::StackedTlr<cf32>(t), TlrKernel::kFused);
-  TlrMvm mr(tlr::StackedTlr<cf32>(t), TlrKernel::kRealSplit);
-  m3.apply(std::span<const cf32>(x), std::span<cf32>(y3));
-  mf.apply(std::span<const cf32>(x), std::span<cf32>(yf));
-  mr.apply(std::span<const cf32>(x), std::span<cf32>(yr));
-  EXPECT_LT(tlrwse::testing::rel_error(yf, y3), 1e-5);
-  EXPECT_LT(tlrwse::testing::rel_error(yr, y3), 1e-5);
+  std::vector<cf32> y(30);
+  mvm.apply(std::span<const cf32>(x), std::span<cf32>(y));
+  EXPECT_LT(tlrwse::testing::rel_error(
+                y, tlr::tlr_mvm_3phase(stacks, std::span<const cf32>(x))),
+            1e-5);
+  EXPECT_LT(tlrwse::testing::rel_error(
+                y, tlr::tlr_mvm_fused(stacks, std::span<const cf32>(x))),
+            1e-5);
+  std::vector<cf32> y_split(30);
+  tlr::tlr_mvm_real_split(tlr::RealSplitStacks<float>(stacks),
+                          std::span<const cf32>(x), std::span<cf32>(y_split));
+  EXPECT_LT(tlrwse::testing::rel_error(y, y_split), 1e-5);
+
+  const auto u = tlrwse::testing::random_vector<cf32>(rng, 30);
+  std::vector<cf32> z(24);
+  mvm.apply_adjoint(std::span<const cf32>(u), std::span<cf32>(z));
+  EXPECT_LT(tlrwse::testing::rel_error(
+                z, tlr::tlr_mvm_adjoint(stacks, std::span<const cf32>(u))),
+            1e-5);
 }
 
 }  // namespace

@@ -1,29 +1,37 @@
-// Additional MDC operator coverage: parameterized nt sweep, the real-split
-// TLR backend inside the operator, adjoint consistency across backends,
-// and linearity properties.
+// Additional MDC operator coverage: parameterized nt sweep, agreement of
+// the dense, TLR and shared-basis formats inside the operator, adjoint
+// consistency, and linearity properties.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "test_helpers.hpp"
 #include "tlrwse/mdc/mdc_operator.hpp"
+#include "tlrwse/tlr/shared_basis.hpp"
 #include "tlrwse/tlr/tlr_matrix.hpp"
 
 namespace tlrwse::mdc {
 namespace {
 
+std::vector<la::MatrixCF> kernel_matrices(index_t ns, index_t nr,
+                                          std::size_t nf) {
+  std::vector<la::MatrixCF> ks;
+  for (std::size_t q = 0; q < nf; ++q) {
+    ks.push_back(tlrwse::testing::oscillatory_matrix<cf32>(
+        ns, nr, 6.0 + 2.0 * static_cast<double>(q)));
+  }
+  return ks;
+}
+
 std::unique_ptr<MdcOperator> build_op(index_t nt, index_t ns, index_t nr,
-                                      const std::vector<index_t>& bins,
-                                      TlrKernel kernel, double acc = 1e-5) {
+                                      const std::vector<index_t>& bins) {
   std::vector<std::unique_ptr<FrequencyMvm>> kernels;
-  for (std::size_t q = 0; q < bins.size(); ++q) {
-    const auto K = tlrwse::testing::oscillatory_matrix<cf32>(
-        ns, nr, 6.0 + 2.0 * static_cast<double>(q));
-    tlr::CompressionConfig cc;
-    cc.nb = 8;
-    cc.acc = acc;
+  tlr::CompressionConfig cc;
+  cc.nb = 8;
+  cc.acc = 1e-5;
+  for (const auto& K : kernel_matrices(ns, nr, bins.size())) {
     kernels.push_back(std::make_unique<TlrMvm>(
-        tlr::StackedTlr<cf32>(tlr::compress_tlr(K, cc)), kernel));
+        tlr::StackedTlr<cf32>(tlr::compress_tlr(K, cc))));
   }
   return std::make_unique<MdcOperator>(nt, bins, std::move(kernels));
 }
@@ -33,7 +41,7 @@ class NtSweep : public ::testing::TestWithParam<int> {};
 TEST_P(NtSweep, AdjointDotTestAcrossWindowLengths) {
   const index_t nt = GetParam();
   const std::vector<index_t> bins{2, nt / 4, nt / 2 - 1};
-  const auto op = build_op(nt, 9, 6, bins, TlrKernel::kFused);
+  const auto op = build_op(nt, 9, 6, bins);
   Rng rng(nt);
   std::vector<float> x(static_cast<std::size_t>(op->cols()));
   std::vector<float> y(static_cast<std::size_t>(op->rows()));
@@ -53,17 +61,28 @@ INSTANTIATE_TEST_SUITE_P(WindowLengths, NtSweep,
 
 TEST(MdcBackends, AllKernelsProduceSameAction) {
   const std::vector<index_t> bins{3, 9};
-  const auto fused = build_op(64, 10, 8, bins, TlrKernel::kFused);
-  const auto phase3 = build_op(64, 10, 8, bins, TlrKernel::kThreePhase);
-  const auto split = build_op(64, 10, 8, bins, TlrKernel::kRealSplit);
+  const auto ks = kernel_matrices(10, 8, bins.size());
+  std::vector<std::unique_ptr<FrequencyMvm>> dense_kernels;
+  for (const auto& K : ks) {
+    dense_kernels.push_back(std::make_unique<DenseMvm>(K));
+  }
+  const MdcOperator dense(64, bins, std::move(dense_kernels));
+  const auto tlr_op = build_op(64, 10, 8, bins);
+  tlr::SharedBasisConfig sc;
+  sc.nb = 8;
+  sc.acc = 1e-5;
+  const MdcOperator shared(
+      64, bins,
+      make_shared_basis_kernels(tlr::SharedBasisStackedTlr<cf32>::fit(
+          std::span<const la::MatrixCF>(ks), sc)));
   Rng rng(17);
-  std::vector<float> x(static_cast<std::size_t>(fused->cols()));
+  std::vector<float> x(static_cast<std::size_t>(dense.cols()));
   for (auto& v : x) v = static_cast<float>(rng.normal());
-  std::vector<float> y1(static_cast<std::size_t>(fused->rows()));
+  std::vector<float> y1(static_cast<std::size_t>(dense.rows()));
   std::vector<float> y2(y1.size()), y3(y1.size());
-  fused->apply(x, std::span<float>(y1));
-  phase3->apply(x, std::span<float>(y2));
-  split->apply(x, std::span<float>(y3));
+  dense.apply(x, std::span<float>(y1));
+  tlr_op->apply(x, std::span<float>(y2));
+  shared.apply(x, std::span<float>(y3));
   for (std::size_t i = 0; i < y1.size(); ++i) {
     EXPECT_NEAR(y1[i], y2[i], 1e-4);
     EXPECT_NEAR(y1[i], y3[i], 1e-4);
@@ -72,7 +91,7 @@ TEST(MdcBackends, AllKernelsProduceSameAction) {
 
 TEST(MdcOperator, LinearityOverSuperposition) {
   const std::vector<index_t> bins{4, 11};
-  const auto op = build_op(64, 8, 6, bins, TlrKernel::kFused);
+  const auto op = build_op(64, 8, 6, bins);
   Rng rng(23);
   std::vector<float> x1(static_cast<std::size_t>(op->cols()));
   std::vector<float> x2(x1.size());
@@ -92,7 +111,7 @@ TEST(MdcOperator, LinearityOverSuperposition) {
 
 TEST(MdcOperator, ZeroInputZeroOutput) {
   const std::vector<index_t> bins{5};
-  const auto op = build_op(32, 4, 3, bins, TlrKernel::kFused);
+  const auto op = build_op(32, 4, 3, bins);
   std::vector<float> x(static_cast<std::size_t>(op->cols()), 0.0f);
   std::vector<float> y(static_cast<std::size_t>(op->rows()), 1.0f);
   op->apply(x, std::span<float>(y));
@@ -101,7 +120,7 @@ TEST(MdcOperator, ZeroInputZeroOutput) {
 
 TEST(MdcOperator, SizeValidation) {
   const std::vector<index_t> bins{5};
-  const auto op = build_op(32, 4, 3, bins, TlrKernel::kFused);
+  const auto op = build_op(32, 4, 3, bins);
   std::vector<float> bad(10), y(static_cast<std::size_t>(op->rows()));
   EXPECT_THROW(op->apply(std::span<const float>(bad), std::span<float>(y)),
                std::invalid_argument);

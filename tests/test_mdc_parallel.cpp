@@ -1,9 +1,10 @@
 // Concurrency and workspace tests for the parallel MDC frequency loop:
-// thread-count invariance of MdcOperator across every kernel backend, the
-// adjoint dot-test property at the FrequencyMvm level (including zero-rank
-// tiles and ragged tile grids), bitwise reproducibility through pooled
-// workspaces, and a counting-allocator proof that the steady-state MVM
-// path of an LSQR solve never touches the heap.
+// thread-count invariance of MdcOperator across every kernel format (dense,
+// TLR, shared-basis TLR), the adjoint dot-test property at the FrequencyMvm
+// level (including zero-rank tiles and ragged tile grids), bitwise
+// reproducibility through reused workspaces, and a counting-allocator
+// proof that the steady-state MVM path of an LSQR solve never touches the
+// heap.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include "tlrwse/la/blas.hpp"
 #include "tlrwse/mdc/mdc_operator.hpp"
 #include "tlrwse/mdd/lsqr.hpp"
+#include "tlrwse/tlr/shared_basis.hpp"
 #include "tlrwse/tlr/tlr_matrix.hpp"
 
 // --- Counting allocator -----------------------------------------------------
@@ -41,6 +43,15 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// The nothrow forms (std::stable_sort's temporary buffer) must come from
+// the same malloc as the frees below, or ASan reports a new/free mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -51,38 +62,38 @@ namespace {
 
 constexpr index_t kNt = 64;  // power of two: the in-place FFT path
 
-// Kernel backends under test: dense plus the three TLR variants.
-enum class Backend { kDense, kTlr3Phase, kTlrFused, kTlrRealSplit };
+// Kernel formats under test: one host apply path each.
+enum class Backend { kDense, kTlr, kSharedBasis };
 
-std::unique_ptr<FrequencyMvm> make_kernel(Backend backend,
-                                          const la::MatrixCF& k, index_t nb) {
-  if (backend == Backend::kDense) return std::make_unique<DenseMvm>(k);
-  tlr::CompressionConfig cc;
-  cc.nb = nb;
-  cc.acc = 1e-6;
-  tlr::StackedTlr<cf32> stacks(tlr::compress_tlr(k, cc));
-  switch (backend) {
-    case Backend::kTlr3Phase:
-      return std::make_unique<TlrMvm>(std::move(stacks),
-                                      TlrKernel::kThreePhase);
-    case Backend::kTlrFused:
-      return std::make_unique<TlrMvm>(std::move(stacks), TlrKernel::kFused);
-    default:
-      return std::make_unique<TlrMvm>(std::move(stacks),
-                                      TlrKernel::kRealSplit);
-  }
-}
-
-/// Randomized multi-frequency operator: ragged tile grids (ns, nr not
-/// multiples of nb) and a different oscillatory kernel per frequency.
-std::unique_ptr<MdcOperator> make_operator(Backend backend, index_t ns = 22,
-                                           index_t nr = 17, index_t nb = 6) {
+/// Randomized multi-frequency operator: ragged tile grids (22 x 17 with
+/// nb = 6) and a different oscillatory kernel per frequency.
+std::unique_ptr<MdcOperator> make_operator(Backend backend) {
+  constexpr index_t kNb = 6;
   const std::vector<index_t> bins{3, 5, 7, 9, 11, 14, 17, 20, 23, 26};
-  std::vector<std::unique_ptr<FrequencyMvm>> kernels;
+  std::vector<la::MatrixCF> ks;
   for (std::size_t q = 0; q < bins.size(); ++q) {
-    const auto k = tlrwse::testing::oscillatory_matrix<cf32>(
-        ns, nr, 4.0 + 2.5 * static_cast<double>(q));
-    kernels.push_back(make_kernel(backend, k, nb));
+    ks.push_back(tlrwse::testing::oscillatory_matrix<cf32>(
+        22, 17, 4.0 + 2.5 * static_cast<double>(q)));
+  }
+  std::vector<std::unique_ptr<FrequencyMvm>> kernels;
+  if (backend == Backend::kSharedBasis) {
+    tlr::SharedBasisConfig sc;
+    sc.nb = kNb;
+    sc.acc = 1e-6;
+    kernels = make_shared_basis_kernels(tlr::SharedBasisStackedTlr<cf32>::fit(
+        std::span<const la::MatrixCF>(ks), sc));
+  } else {
+    tlr::CompressionConfig cc;
+    cc.nb = kNb;
+    cc.acc = 1e-6;
+    for (const auto& k : ks) {
+      if (backend == Backend::kDense) {
+        kernels.push_back(std::make_unique<DenseMvm>(k));
+      } else {
+        kernels.push_back(std::make_unique<TlrMvm>(
+            tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc))));
+      }
+    }
   }
   return std::make_unique<MdcOperator>(kNt, bins, std::move(kernels));
 }
@@ -173,16 +184,13 @@ TEST_P(MdcParallel, ParallelAdjointStillPassesDotTest) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MdcParallel,
-                         ::testing::Values(Backend::kDense,
-                                           Backend::kTlr3Phase,
-                                           Backend::kTlrFused,
-                                           Backend::kTlrRealSplit),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         ::testing::Values(Backend::kDense, Backend::kTlr,
+                                           Backend::kSharedBasis),
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case Backend::kDense: return "Dense";
-                             case Backend::kTlr3Phase: return "ThreePhase";
-                             case Backend::kTlrFused: return "Fused";
-                             default: return "RealSplit";
+                             case Backend::kTlr: return "Tlr";
+                             default: return "SharedBasis";
                            }
                          });
 
@@ -248,27 +256,25 @@ TEST(FrequencyMvmAdjoint, DenseSatisfiesDotProperty) {
   expect_dot_property(mvm);
 }
 
-class TlrAdjointProperty : public ::testing::TestWithParam<TlrKernel> {};
-
-TEST_P(TlrAdjointProperty, OscillatoryRaggedGrid) {
+TEST(TlrAdjointProperty, OscillatoryRaggedGrid) {
   // 33 x 26 with nb = 7: ragged last tile row and column.
   const auto k = tlrwse::testing::oscillatory_matrix<cf32>(33, 26, 7.0);
   tlr::CompressionConfig cc;
   cc.nb = 7;
   cc.acc = 1e-6;
-  TlrMvm mvm(tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc)), GetParam());
+  TlrMvm mvm(tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc)));
   expect_dot_property(mvm);
 }
 
-TEST_P(TlrAdjointProperty, ZeroRankTilesRaggedGrid) {
-  TlrMvm mvm(tlr::StackedTlr<cf32>(zero_rank_ragged_tlr()), GetParam());
+TEST(TlrAdjointProperty, ZeroRankTilesRaggedGrid) {
+  const TlrMvm mvm{tlr::StackedTlr<cf32>(zero_rank_ragged_tlr())};
   expect_dot_property(mvm);
 }
 
-TEST_P(TlrAdjointProperty, ZeroRankForwardMatchesReconstruction) {
+TEST(TlrAdjointProperty, ZeroRankForwardMatchesReconstruction) {
   const auto t = zero_rank_ragged_tlr();
   const auto rec = t.reconstruct();
-  TlrMvm mvm(tlr::StackedTlr<cf32>(t), GetParam());
+  const TlrMvm mvm{tlr::StackedTlr<cf32>(t)};
   Rng rng(5);
   const auto x = tlrwse::testing::random_vector<cf32>(rng, t.cols());
   std::vector<cf32> y(static_cast<std::size_t>(t.rows()));
@@ -278,28 +284,14 @@ TEST_P(TlrAdjointProperty, ZeroRankForwardMatchesReconstruction) {
   EXPECT_LT(tlrwse::testing::rel_error(y, ref), 1e-4);
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, TlrAdjointProperty,
-                         ::testing::Values(TlrKernel::kThreePhase,
-                                           TlrKernel::kFused,
-                                           TlrKernel::kRealSplit),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case TlrKernel::kThreePhase: return "ThreePhase";
-                             case TlrKernel::kFused: return "Fused";
-                             default: return "RealSplit";
-                           }
-                         });
-
 // --- Workspace reuse --------------------------------------------------------
 
-class WorkspaceReuse : public ::testing::TestWithParam<TlrKernel> {};
-
-TEST_P(WorkspaceReuse, PooledWorkspaceIsBitwiseIdenticalToFresh) {
+TEST(WorkspaceReuse, PooledWorkspaceIsBitwiseIdenticalToFresh) {
   const auto k = tlrwse::testing::oscillatory_matrix<cf32>(41, 29, 10.0);
   tlr::CompressionConfig cc;
   cc.nb = 9;
   cc.acc = 1e-6;
-  TlrMvm mvm(tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc)), GetParam());
+  TlrMvm mvm(tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc)));
   Rng rng(31);
   const auto x1 = tlrwse::testing::random_vector<cf32>(rng, 29);
   const auto x2 = tlrwse::testing::random_vector<cf32>(rng, 29);
@@ -335,43 +327,37 @@ TEST_P(WorkspaceReuse, PooledWorkspaceIsBitwiseIdenticalToFresh) {
   }
 }
 
-TEST_P(WorkspaceReuse, LegacySignatureRoutesThroughPool) {
-  const auto k = tlrwse::testing::oscillatory_matrix<cf32>(24, 18, 6.0);
+TEST(WorkspaceReuse, TwoArgumentFormsMatchWorkspaceForms) {
   tlr::CompressionConfig cc;
   cc.nb = 6;
   cc.acc = 1e-6;
-  TlrMvm mvm(tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc)), GetParam());
+  TlrMvm mvm(tlr::StackedTlr<cf32>(tlr::compress_tlr(
+      tlrwse::testing::oscillatory_matrix<cf32>(24, 18, 6.0), cc)));
+  // A differently shaped kernel shares the thread's workspace in between.
+  TlrMvm other(tlr::StackedTlr<cf32>(tlr::compress_tlr(
+      tlrwse::testing::oscillatory_matrix<cf32>(37, 45, 8.0), cc)));
   Rng rng(37);
   const auto x = tlrwse::testing::random_vector<cf32>(rng, 18);
-  std::vector<cf32> y1(24), y2(24);
-  mvm.apply(std::span<const cf32>(x), std::span<cf32>(y1));
-  EXPECT_GE(mvm.pooled_workspaces(), 1u);
-  mvm.apply(std::span<const cf32>(x), std::span<cf32>(y2));
-  for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_EQ(y1[i], y2[i]);
-  // Adjoint through the pool as well (the old code allocated here).
-  std::vector<cf32> a1(18), a2(18);
   const auto ya = tlrwse::testing::random_vector<cf32>(rng, 24);
-  mvm.apply_adjoint(std::span<const cf32>(ya), std::span<cf32>(a1));
-  mvm.apply_adjoint(std::span<const cf32>(ya), std::span<cf32>(a2));
-  for (std::size_t i = 0; i < a1.size(); ++i) EXPECT_EQ(a1[i], a2[i]);
+  const auto xo = tlrwse::testing::random_vector<cf32>(rng, 45);
+  std::vector<cf32> ref(24), ref_adj(18), yo(37);
+  FrequencyWorkspace ws;
+  mvm.apply(std::span<const cf32>(x), std::span<cf32>(ref), ws);
+  mvm.apply_adjoint(std::span<const cf32>(ya), std::span<cf32>(ref_adj), ws);
+  for (int rep = 0; rep < 2; ++rep) {
+    std::vector<cf32> y(24), a(18);
+    mvm.apply(std::span<const cf32>(x), std::span<cf32>(y));
+    other.apply(std::span<const cf32>(xo), std::span<cf32>(yo));
+    mvm.apply_adjoint(std::span<const cf32>(ya), std::span<cf32>(a));
+    for (std::size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], ref[i]);
+    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], ref_adj[i]);
+  }
 }
-
-INSTANTIATE_TEST_SUITE_P(Kernels, WorkspaceReuse,
-                         ::testing::Values(TlrKernel::kThreePhase,
-                                           TlrKernel::kFused,
-                                           TlrKernel::kRealSplit),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case TlrKernel::kThreePhase: return "ThreePhase";
-                             case TlrKernel::kFused: return "Fused";
-                             default: return "RealSplit";
-                           }
-                         });
 
 // --- Zero steady-state allocations ------------------------------------------
 
 TEST(MdcAllocation, SteadyStateAppliesAreAllocationFree) {
-  const auto op = make_operator(Backend::kTlrFused);
+  const auto op = make_operator(Backend::kTlr);
   Rng rng(41);
   const auto x = tlrwse::testing::random_vector<float>(rng, op->cols());
   const auto yb = tlrwse::testing::random_vector<float>(rng, op->rows());
@@ -427,7 +413,7 @@ class AllocCountingOperator final : public mdc::LinearOperator {
 };
 
 TEST(MdcAllocation, LsqrMvmPathIsAllocationFreeAfterWarmup) {
-  const auto op = make_operator(Backend::kTlr3Phase);
+  const auto op = make_operator(Backend::kTlr);
   AllocCountingOperator counted(*op);
   Rng rng(43);
   const auto b = tlrwse::testing::random_vector<float>(rng, op->rows());

@@ -69,7 +69,7 @@ TEST(Mdd, TlrBackendCloseToDense) {
   cc.nb = 16;
   cc.acc = 1e-5;
   const auto dense_op = make_mdc_operator(data, KernelBackend::kDense, cc);
-  const auto tlr_op = make_mdc_operator(data, KernelBackend::kTlrFused, cc);
+  const auto tlr_op = make_mdc_operator(data, KernelBackend::kTlr, cc);
 
   LsqrConfig lsqr;
   lsqr.max_iters = 30;
@@ -116,8 +116,8 @@ TEST(Mdd, LooserAccuracyDegradesSolution) {
   tlr::CompressionConfig loose = tight;
   loose.acc = 3e-2;
 
-  const auto op_tight = make_mdc_operator(data, KernelBackend::kTlrFused, tight);
-  const auto op_loose = make_mdc_operator(data, KernelBackend::kTlrFused, loose);
+  const auto op_tight = make_mdc_operator(data, KernelBackend::kTlr, tight);
+  const auto op_loose = make_mdc_operator(data, KernelBackend::kTlr, loose);
   const auto x_tight = solve_mdd(*op_tight, rhs, lsqr);
   const auto x_loose = solve_mdd(*op_loose, rhs, lsqr);
 

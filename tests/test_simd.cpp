@@ -505,8 +505,7 @@ std::unique_ptr<mdc::MdcOperator> make_mdc(bool dense_backend) {
       cfg.nb = 8;
       cfg.acc = 1e-5;
       kernels.push_back(std::make_unique<mdc::TlrMvm>(
-          tlr::StackedTlr<cf32>(tlr::compress_tlr(K, cfg)),
-          mdc::TlrKernel::kThreePhase));
+          tlr::StackedTlr<cf32>(tlr::compress_tlr(K, cfg))));
     }
   }
   return std::make_unique<mdc::MdcOperator>(nt, std::move(bins),

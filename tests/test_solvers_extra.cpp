@@ -185,7 +185,7 @@ TEST(MultiSource, SolvesLineAndScores) {
   tlr::CompressionConfig cc;
   cc.nb = 16;
   cc.acc = 1e-4;
-  const auto op = make_mdc_operator(data, KernelBackend::kTlrFused, cc);
+  const auto op = make_mdc_operator(data, KernelBackend::kTlr, cc);
 
   const auto line = virtual_source_line(data, data.num_receivers() / 2, 4);
   ASSERT_EQ(line.size(), 4u);

@@ -72,7 +72,7 @@ SCHEMAS = {
         },
     ),
     "kernels": (
-        {"bench", "simd_compiled", "simd_level", "peak_gflops"},
+        {"bench", "simd_level", "peak_gflops"},
         {
             "row",
             "m",
@@ -131,7 +131,7 @@ SCHEMAS = {
         },
     ),
     "shared_basis": (
-        {"bench", "simd_compiled", "simd_level", "m", "n", "nb", "num_freq", "acc"},
+        {"bench", "simd_level", "m", "n", "nb", "num_freq", "acc"},
         {
             "row",
             "band_width",

@@ -5,7 +5,7 @@
 //   tlrwse_cli compress --in K.bin --out K.tlr [--nb 24] [--acc 1e-4]
 //                       [--backend svd|rrqr|rsvd|aca]
 //   tlrwse_cli info     --in K.tlr
-//   tlrwse_cli mvm      --in K.tlr [--kernel fused|3phase|realsplit]
+//   tlrwse_cli mvm      --in K.tlr [--reps 50] [--seed 1]
 //   tlrwse_cli simulate [--nb 70] [--acc 1e-4] [--sw 23] [--strategy 1|2]
 //                       [--systems 6]
 //   tlrwse_cli mdd      [--nb 24] [--acc 1e-4] [--iters 30]
@@ -104,7 +104,6 @@
 #include "tlrwse/seismic/rank_model.hpp"
 #include "tlrwse/serve/solve_service.hpp"
 #include "tlrwse/tlr/stacked.hpp"
-#include "tlrwse/tlr/tlr_mvm.hpp"
 #include "tlrwse/wse/machine.hpp"
 
 namespace {
@@ -318,35 +317,23 @@ int cmd_mvm(const Args& args) {
     return 1;
   }
   const auto m = io::load_tlr(in);
-  tlr::StackedTlr<cf32> stacks(m);
+  // The same kernel object a solve runs: TlrMvm over its compiled plan.
+  const mdc::TlrMvm mvm{tlr::StackedTlr<cf32>(m)};
   Rng rng(args.integer("seed", 1));
   std::vector<cf32> x(static_cast<std::size_t>(m.cols()));
   fill_normal(rng, x.data(), x.size());
 
-  const std::string kernel = args.get("kernel", "fused");
   const int reps = static_cast<int>(args.integer("reps", 50));
   std::vector<cf32> y(static_cast<std::size_t>(m.rows()));
-  tlr::MvmWorkspace<cf32> ws;
-  std::unique_ptr<tlr::RealSplitStacks<float>> split;
-  if (kernel == "realsplit") {
-    split = std::make_unique<tlr::RealSplitStacks<float>>(stacks);
-  }
+  mdc::FrequencyWorkspace ws;
+  mvm.apply(std::span<const cf32>(x), std::span<cf32>(y), ws);  // warm-up
   WallTimer t;
   for (int r = 0; r < reps; ++r) {
-    if (kernel == "3phase") {
-      tlr::tlr_mvm_3phase(stacks, std::span<const cf32>(x), std::span<cf32>(y),
-                          ws);
-    } else if (kernel == "realsplit") {
-      tlr::tlr_mvm_real_split(*split, std::span<const cf32>(x),
-                              std::span<cf32>(y));
-    } else {
-      tlr::tlr_mvm_fused(stacks, std::span<const cf32>(x), std::span<cf32>(y),
-                         ws);
-    }
+    mvm.apply(std::span<const cf32>(x), std::span<cf32>(y), ws);
   }
   const double ms = t.millis() / reps;
-  std::printf("%s TLR-MVM: %.3f ms/apply, effective bandwidth %s\n",
-              kernel.c_str(), ms,
+  std::printf("TLR-MVM (%s plan): %.3f ms/apply, effective bandwidth %s\n",
+              la::simd::level_name(la::simd::active_level()), ms,
               format_bandwidth(m.compressed_bytes() / (ms * 1e-3)).c_str());
   return 0;
 }
@@ -405,7 +392,7 @@ int cmd_mdd(const Args& args) {
   const auto data = seismic::build_dataset(dataset_config(args));
   const auto cc = compression_config(args);
   const auto op =
-      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, cc);
+      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, cc);
   const index_t v = args.integer("vsrc", data.num_receivers() / 2);
   const auto rhs = mdd::virtual_source_rhs(data, v);
   const auto truth = mdd::true_reflectivity_traces(data, v);
