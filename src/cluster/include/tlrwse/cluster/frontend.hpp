@@ -1,5 +1,5 @@
-// Frontend of the distributed serving tier: admission, placement, remote
-// solve orchestration.
+// Distributed serving tier, frontend half: the fleet connection, the
+// placement of operators onto workers, and the remote MDC operator.
 //
 // The frontend keeps the whole solve loop local — rFFT, LSQR, inverse rFFT
 // — and ships only the per-frequency kernel MVMs to the workers, as
@@ -7,15 +7,17 @@
 // arithmetic over the exact gathered bytes a local MdcOperator would (and
 // each frequency bin is owned by exactly one shard), a distributed solve
 // is bitwise identical to the single-process SolveService solving the same
-// archive.
+// archive. The request lifecycle (admission, quotas, cancel, deadlines,
+// coalescing, stages, SLO) is serve::Frontend's; RemoteSource is its
+// operator source and ClusterService the facade over the two.
 //
 // Failure semantics: a worker death surfaces as TransportError inside one
-// shard exchange; the frontend marks the worker dead, retries the shard on
+// shard exchange; the operator marks the worker dead, retries the shard on
 // the next live replica, and only when no replica remains does the request
 // fail — typed kWorkerFailed, never a hang. Deadlines travel in each
-// ApplyMsg (remaining budget) and are also enforced between LSQR
-// iterations; cancellation is a frontend flag plus a best-effort kCancel
-// broadcast so workers abandon the shard mid-loop.
+// ApplyMsg (remaining budget) and, like cancellation, are polled through
+// the engine's CancelScope before every fan-out; a cancel also broadcasts
+// kCancel so workers abandon the shard mid-loop.
 #pragma once
 
 #include <atomic>
@@ -39,25 +41,20 @@
 #include "tlrwse/cluster/wire.hpp"
 #include "tlrwse/fft/fft.hpp"
 #include "tlrwse/mdc/linear_operator.hpp"
-#include "tlrwse/mdd/lsqr.hpp"
 #include "tlrwse/obs/metrics_registry.hpp"
 #include "tlrwse/obs/slo_tracker.hpp"
-#include "tlrwse/obs/stage_breakdown.hpp"
-#include "tlrwse/obs/trace_context.hpp"
 #include "tlrwse/obs/trace_merge.hpp"
-#include "tlrwse/serve/admission_queue.hpp"
+#include "tlrwse/serve/frontend.hpp"
 #include "tlrwse/serve/operator_cache.hpp"
-#include "tlrwse/serve/solve_service.hpp"
-#include "tlrwse/serve/task_executor.hpp"
 
 namespace tlrwse::cluster {
 
-/// Raised when a shard has no live replica left to serve an exchange.
-/// Maps to ClusterStatus::kWorkerFailed — typed degradation, not a hang.
-class WorkerFailure : public std::runtime_error {
+/// Raised when a shard has no live replica left to serve an exchange —
+/// typed kWorkerFailed degradation, not a hang.
+class WorkerFailure : public serve::SourceError {
  public:
   explicit WorkerFailure(const std::string& what)
-      : std::runtime_error(what) {}
+      : serve::SourceError(serve::SolveStatus::kWorkerFailed, what) {}
 };
 
 /// One connected worker. call_async() hands the frame to a dispatcher
@@ -123,54 +120,6 @@ struct Placement {
   std::vector<ShardAssignment> shards;
 };
 
-/// Per-request observability state threaded through a RemoteMdcOperator.
-/// Stage times are always accumulated (they feed the per-stage latency
-/// histograms and the response's StageBreakdown); spans and clock samples
-/// are only collected when `ctx.sampled` — the cost of a full distributed
-/// timeline is opt-in per request.
-struct RequestTrace {
-  obs::TraceContext ctx;
-  obs::StageBreakdown stages;
-  /// Frontend-side spans (raw steady-clock ns), bounded; overflow counts
-  /// into `dropped` so the merged timeline can be marked lossy.
-  std::vector<obs::RemoteSpan> spans;
-  std::uint64_t dropped = 0;
-  /// RPC send/recv timestamp pairs per fleet index, for NTP-style clock
-  /// alignment of that worker's spans against the frontend clock.
-  std::vector<std::vector<obs::ClockSample>> clock_samples;
-  /// Fleet indices that served at least one exchange of this request.
-  std::vector<std::size_t> workers;
-
-  static constexpr std::size_t kMaxSpans = 4096;
-
-  std::uint64_t new_span_id() { return next_span_id_++; }
-  void note_worker(std::size_t w) {
-    for (const std::size_t seen : workers) {
-      if (seen == w) return;
-    }
-    workers.push_back(w);
-  }
-  void add_span(std::string name, std::uint64_t span_id,
-                std::uint64_t parent_span_id, std::uint64_t ts_ns,
-                std::uint64_t dur_ns) {
-    if (spans.size() >= kMaxSpans) {
-      ++dropped;
-      return;
-    }
-    obs::RemoteSpan s;
-    s.name = std::move(name);
-    s.trace_id = ctx.trace_id;
-    s.span_id = span_id;
-    s.parent_span_id = parent_span_id;
-    s.ts_ns = ts_ns;
-    s.dur_ns = dur_ns;
-    spans.push_back(std::move(s));
-  }
-
- private:
-  std::uint64_t next_span_id_ = 1;
-};
-
 /// The MDC operator y = F^H K F x with the K stage executed remotely:
 /// rFFT locally, gather each shard's per-frequency slices, exchange with a
 /// live replica, scatter the replies into the zero-initialised spectrum
@@ -178,20 +127,19 @@ struct RequestTrace {
 /// request; the placement and fleet are shared.
 class RemoteMdcOperator final : public mdc::LinearOperator {
  public:
-  /// `cancelled` (optional) is polled before every remote exchange; a true
-  /// return aborts the apply with mdc::CancelledError, mirroring the
-  /// CancelScope deadline poll of the local operator. `on_worker_death` is
-  /// notified once per worker this operator discovers dead.
-  /// `rt` (optional, not owned, must outlive the operator) accumulates
-  /// per-stage latency and — when rt->ctx.sampled — spans and clock
-  /// samples for the merged distributed timeline.
+  /// Every apply polls the calling thread's mdc::CancelScope and
+  /// `deadline_at` before its fan-out and aborts with mdc::CancelledError,
+  /// mirroring the local operator's poll; the remaining deadline also
+  /// rides each ApplyMsg. `on_worker_death` is notified once per worker
+  /// this operator discovers dead. `rt` (optional, not owned, must outlive
+  /// the operator) accumulates per-stage latency and — when
+  /// rt->ctx.sampled — spans and clock samples for the merged timeline.
   RemoteMdcOperator(std::span<const std::unique_ptr<WorkerClient>> fleet,
                     std::shared_ptr<const Placement> placement,
                     std::uint64_t request_id,
                     std::chrono::steady_clock::time_point deadline_at = {},
-                    std::function<bool()> cancelled = {},
                     std::function<void(std::size_t)> on_worker_death = {},
-                    RequestTrace* rt = nullptr);
+                    obs::RequestTrace* rt = nullptr);
 
   [[nodiscard]] index_t rows() const override;
   [[nodiscard]] index_t cols() const override;
@@ -205,20 +153,22 @@ class RemoteMdcOperator final : public mdc::LinearOperator {
   void apply_batch(std::span<const float> X, std::span<float> Y,
                    index_t nrhs) const;
   void apply_adjoint_batch(std::span<const float> Y, std::span<float> X,
-                           index_t nrhs) const;
+                           index_t nrhs) const override;
 
  private:
   void run(std::span<const float> in, std::span<float> out, index_t nrhs,
            bool adjoint) const;
-  /// One shard exchange with replica retry. Throws WorkerFailure when the
+  /// One shard exchange with replica retry; `worker_s` receives the
+  /// serving worker's compute seconds. Throws WorkerFailure when the
   /// replica list is exhausted, mdc::CancelledError on a typed
   /// kCancelled / kDeadlineExceeded reply.
   [[nodiscard]] ApplyOkMsg exchange(const ShardAssignment& shard,
-                                    ApplyMsg msg) const;
-  /// Folds one successful exchange's reply into `rt_`: clock sample, MVM
-  /// vs RPC-overhead attribution, participating-worker set.
-  void note_exchange(std::size_t worker, std::uint64_t t0_ns,
-                     std::uint64_t t3_ns, const ApplyOkMsg& ok) const;
+                                    ApplyMsg msg, double& worker_s) const;
+  /// Folds one successful exchange's reply into `rt_` (clock sample,
+  /// participating-worker set) and returns the worker's compute seconds
+  /// (0 for a v1 reply without clock stamps).
+  double note_exchange(std::size_t worker, std::uint64_t t0_ns,
+                       std::uint64_t t3_ns, const ApplyOkMsg& ok) const;
   void check_abort() const;
   [[nodiscard]] double remaining_deadline_s() const;
 
@@ -226,58 +176,21 @@ class RemoteMdcOperator final : public mdc::LinearOperator {
   std::shared_ptr<const Placement> placement_;
   std::uint64_t request_id_;
   std::chrono::steady_clock::time_point deadline_at_;
-  std::function<bool()> cancelled_;
   std::function<void(std::size_t)> on_worker_death_;
-  RequestTrace* rt_ = nullptr;  // not owned; may be null
+  obs::RequestTrace* rt_ = nullptr;  // not owned; may be null
   fft::FftPlan plan_;
   mutable std::mutex scratch_mu_;
   mutable std::vector<cf32> in_spec_, out_spec_;
   mutable fft::BatchWorkspace fft_ws_;
 };
 
-enum class ClusterStatus {
-  kOk,
-  kQueueFull,         // bounded admission queue was full
-  kQuotaExceeded,     // tenant's in-flight quota was exhausted
-  kDeadlineExceeded,  // deadline hit before/during the solve
-  kArchiveMissing,    // archive absent/unreadable at placement time
-  kWorkerFailed,      // a shard lost every replica mid-solve
-  kCancelled,         // cancel(request_id) landed before completion
-  kError,             // unexpected failure (details in .error)
-};
-[[nodiscard]] const char* to_string(ClusterStatus s);
-
-struct ClusterRequest {
-  serve::OperatorKey op;  // archive_id doubles as the archive path
-  serve::RequestKind kind = serve::RequestKind::kLsqr;
-  std::string tenant;     // quota bucket; empty shares the default bucket
-  index_t vsrc = -1;
-  std::vector<float> rhs;
-  mdd::LsqrConfig lsqr;
-  double deadline_s = 0.0;
-  /// Request a full distributed trace: worker spans are buffered, dumped,
-  /// clock-aligned and merged into ClusterResponse::trace_json.
-  bool trace = false;
-};
-
-struct ClusterResponse {
-  ClusterStatus status = ClusterStatus::kOk;
-  index_t vsrc = -1;
-  std::uint64_t request_id = 0;
-  std::vector<float> x;
-  int iterations = 0;
-  double residual_norm = 0.0;
-  double queue_wait_s = 0.0;
-  double solve_s = 0.0;
-  double total_s = 0.0;
-  /// Per-stage latency attribution for this request (always filled for
-  /// solved requests, regardless of tracing).
-  obs::StageBreakdown stages;
-  /// chrome://tracing timeline merged across frontend + workers; empty
-  /// unless the request set `trace`.
-  std::string trace_json;
-  std::string error;
-};
+/// The request/response types are the engine's; the cluster names stay
+/// for callers written against the distributed tier.
+using ClusterStatus = serve::SolveStatus;
+using ClusterRequest = serve::SolveRequest;
+using ClusterResponse = serve::SolveResponse;
+using SubmittedRequest = serve::SubmittedRequest;
+using serve::to_string;
 
 struct ClusterConfig {
   int frontend_workers = 2;         // concurrent solve batches
@@ -291,19 +204,63 @@ struct ClusterConfig {
   obs::SloConfig slo;
 };
 
-/// Handle returned by submit(): the id is live immediately (usable for
-/// cancel() while the request is still queued), the future resolves when
-/// the request finishes or is rejected.
-struct SubmittedRequest {
-  std::uint64_t request_id = 0;
-  std::future<ClusterResponse> response;
+/// Operators resolved onto a worker fleet: deduplicated placement (shard
+/// loads) per archive, one RemoteMdcOperator per request, replan after a
+/// worker death, "cluster.*" placement and death counters.
+class RemoteSource final : public serve::OperatorSource {
+ public:
+  RemoteSource(PlannerConfig planner,
+               std::vector<std::unique_ptr<WorkerClient>> fleet,
+               obs::MetricsRegistry& registry);
+
+  [[nodiscard]] const char* metric_prefix() const override {
+    return "cluster";
+  }
+  /// A cached (or in-flight) placement counts as held.
+  [[nodiscard]] bool holds(const serve::OperatorKey& key) const override;
+  /// Resolves the placement: kWorkerFailed when no live worker can take a
+  /// shard, kArchiveMissing when the archive cannot be read.
+  [[nodiscard]] std::unique_ptr<Lease> acquire(
+      const serve::OperatorKey& key) override;
+  /// Drops the cached placement after a failed solve so the next request
+  /// for this operator replans over the workers still alive. Solves
+  /// already holding the placement keep it.
+  void invalidate(const serve::OperatorKey& key) override;
+  /// Best-effort kCancel broadcast; a dead worker just drops it.
+  void cancel(std::uint64_t request_id) override;
+  /// kTraceDump every participating worker and clock-align its spans from
+  /// the request's RPC timestamp pairs.
+  void collect_trace(obs::RequestTrace& rt,
+                     std::vector<obs::WorkerTrace>& out) override;
+
+  [[nodiscard]] std::span<const std::unique_ptr<WorkerClient>> fleet()
+      const noexcept {
+    return fleet_;
+  }
+  void note_worker_death(std::size_t worker);
+
+ private:
+  [[nodiscard]] std::shared_ptr<const Placement> build_placement(
+      const serve::OperatorKey& key);
+
+  PlannerConfig planner_;
+  std::vector<std::unique_ptr<WorkerClient>> fleet_;
+  obs::Counter& worker_deaths_;
+  obs::Counter& placements_;
+  obs::Counter& replans_;
+  std::atomic<std::uint32_t> next_shard_id_{1};
+
+  mutable std::mutex mu_;
+  std::unordered_map<serve::OperatorKey,
+                     std::shared_future<std::shared_ptr<const Placement>>,
+                     serve::OperatorKeyHash>
+      placements_cache_;
+  std::unordered_set<std::size_t> dead_noted_;
 };
 
-/// The RPC front door: bounded admission + per-tenant quotas (front half
-/// shared with serve::SolveService via AdmissionQueue), deduplicated
-/// placement/loading of archives onto the worker fleet, per-operator
-/// batched solving over RemoteMdcOperator, typed degradation on worker
-/// death, and a fleet-wide merged metrics view.
+/// The RPC front door: serve::Frontend (bounded admission, per-tenant
+/// quotas, cancel, deadlines, adjoint coalescing, stages, SLO) over a
+/// RemoteSource, plus fleet-wide health and merged metrics views.
 class ClusterService {
  public:
   ClusterService(ClusterConfig cfg,
@@ -312,12 +269,14 @@ class ClusterService {
   ClusterService(const ClusterService&) = delete;
   ClusterService& operator=(const ClusterService&) = delete;
 
-  [[nodiscard]] SubmittedRequest submit(ClusterRequest req);
+  [[nodiscard]] SubmittedRequest submit(ClusterRequest req) {
+    return engine_.submit(std::move(req));
+  }
 
-  /// Flags the request locally and broadcasts kCancel to the fleet
-  /// (best-effort): queued requests reject at dequeue, in-flight solves
-  /// abort between frequency MVMs / LSQR iterations.
-  void cancel(std::uint64_t request_id);
+  /// Flags the request and broadcasts kCancel to the fleet (best-effort):
+  /// queued requests reject at dequeue, in-flight solves abort between
+  /// remote exchanges / LSQR iterations.
+  void cancel(std::uint64_t request_id) { engine_.cancel(request_id); }
 
   /// Stops admission, drains admitted requests, joins the solve workers,
   /// then asks every live remote worker to shut down. Idempotent.
@@ -352,85 +311,18 @@ class ClusterService {
 
   /// The rolling SLO window (p50/p95/p99, error-budget burn rate).
   [[nodiscard]] obs::SloTracker::Window slo_window() const {
-    return slo_.window();
+    return engine_.slo_window();
   }
 
  private:
-  struct Ticket {
-    ClusterRequest req;
-    std::uint64_t id = 0;
-    std::promise<ClusterResponse> done;
-    std::chrono::steady_clock::time_point admitted;
-  };
+  /// The frontend's snapshot followed by every live worker's (kMetrics
+  /// poll; a worker that fails the poll is simply absent).
+  [[nodiscard]] std::vector<obs::MetricsRegistry::Snapshot> fleet_snapshots();
 
-  void worker_loop();
-  void process_batch(const serve::OperatorKey& key,
-                     std::vector<Ticket> batch);
-  void solve_ticket(Ticket& ticket,
-                    const std::shared_ptr<const Placement>& placement,
-                    double load_s);
-  /// Serves >= 2 deadline-free adjoint tickets with one multi-RHS remote
-  /// sweep (each RHS bitwise identical to its single solve).
-  void solve_adjoint_group(std::vector<Ticket>& batch,
-                           const std::vector<std::size_t>& adj,
-                           const std::shared_ptr<const Placement>& placement,
-                           double load_s);
-  [[nodiscard]] std::shared_ptr<const Placement> resolve_placement(
-      const serve::OperatorKey& key);
-  [[nodiscard]] std::shared_ptr<const Placement> build_placement(
-      const serve::OperatorKey& key);
-  [[nodiscard]] bool is_cancelled(std::uint64_t id) const;
-  void note_worker_death(std::size_t worker);
-  /// Drops the cached placement after a kWorkerFailed solve so the next
-  /// request for this operator replans over the workers still alive.
-  void invalidate_placement(const serve::OperatorKey& key);
-  void respond(Ticket& ticket, ClusterResponse r);
-  /// Feeds one finished response into the SLO window and persists an
-  /// exemplar on a latency breach. Called from respond() so rejects count
-  /// as availability errors too.
-  void record_slo(const ClusterResponse& r);
-  /// kTraceDump every participating worker, align clocks from the
-  /// request's RPC timestamp pairs, merge into one timeline JSON.
-  [[nodiscard]] std::string collect_trace(RequestTrace& rt);
-
-  ClusterConfig cfg_;
-  std::vector<std::unique_ptr<WorkerClient>> fleet_;
-
-  mutable obs::MetricsRegistry registry_;
-  obs::Counter& submitted_;
-  obs::Counter& admitted_;
-  obs::Counter& completed_;
-  obs::Counter& rejected_full_;
-  obs::Counter& rejected_quota_;
-  obs::Counter& rejected_deadline_;
-  obs::Counter& rejected_missing_;
-  obs::Counter& worker_failed_;
-  obs::Counter& cancelled_count_;
-  obs::Counter& failed_;
-  obs::Counter& worker_deaths_;
-  obs::Counter& placements_;
-  obs::Counter& replans_;
-  obs::Histogram& solve_hist_;
-  obs::StageRecorder stage_recorder_;
-  obs::SloTracker slo_;
-
-  serve::AdmissionQueue<serve::OperatorKey, Ticket, serve::OperatorKeyHash>
-      queue_;
   std::atomic<bool> shut_down_{false};
-  std::atomic<std::uint64_t> next_request_id_{1};
-  std::atomic<std::uint32_t> next_shard_id_{1};
-
-  mutable std::mutex state_mu_;
-  std::unordered_map<std::string, std::size_t> tenant_inflight_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::unordered_map<serve::OperatorKey,
-                     std::shared_future<std::shared_ptr<const Placement>>,
-                     serve::OperatorKeyHash>
-      placements_cache_;
-  std::unordered_set<std::size_t> dead_noted_;
-
-  serve::TaskExecutor exec_;  // declared last: workers see live members
-  std::vector<std::future<void>> worker_futures_;
+  mutable obs::MetricsRegistry registry_;
+  RemoteSource source_;
+  serve::Frontend engine_;  // declared last: its workers use the members above
 };
 
 }  // namespace tlrwse::cluster

@@ -136,6 +136,7 @@ class WireReader {
   }
   /// Reads exactly `count` complex values into `out`.
   void cf32_into(std::span<cf32> out) {
+    if (out.empty()) return;  // memcpy's pointers must be non-null even at 0
     need(out.size() * sizeof(cf32));
     std::memcpy(out.data(), bytes_.data() + pos_,
                 out.size() * sizeof(cf32));

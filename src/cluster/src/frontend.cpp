@@ -21,12 +21,11 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
 }
 
 /// An archive-side load failure (file missing, bad range) — distinct from
-/// WorkerFailure so the service can answer kArchiveMissing vs
-/// kWorkerFailed.
-class ArchiveFailure : public std::runtime_error {
+/// WorkerFailure so the engine answers kArchiveMissing vs kWorkerFailed.
+class ArchiveFailure : public serve::SourceError {
  public:
   explicit ArchiveFailure(const std::string& what)
-      : std::runtime_error(what) {}
+      : serve::SourceError(serve::SolveStatus::kArchiveMissing, what) {}
 };
 
 /// Maps a worker's reply frame to ApplyOkMsg or the matching exception.
@@ -157,13 +156,12 @@ void WorkerClient::close() {
 RemoteMdcOperator::RemoteMdcOperator(
     std::span<const std::unique_ptr<WorkerClient>> fleet,
     std::shared_ptr<const Placement> placement, std::uint64_t request_id,
-    Clock::time_point deadline_at, std::function<bool()> cancelled,
-    std::function<void(std::size_t)> on_worker_death, RequestTrace* rt)
+    Clock::time_point deadline_at,
+    std::function<void(std::size_t)> on_worker_death, obs::RequestTrace* rt)
     : fleet_(fleet),
       placement_(std::move(placement)),
       request_id_(request_id),
       deadline_at_(deadline_at),
-      cancelled_(std::move(cancelled)),
       on_worker_death_(std::move(on_worker_death)),
       rt_(rt),
       plan_(placement_ != nullptr && placement_->nt >= 1 ? placement_->nt
@@ -204,7 +202,7 @@ void RemoteMdcOperator::apply_adjoint_batch(std::span<const float> Y,
 }
 
 void RemoteMdcOperator::check_abort() const {
-  if (cancelled_ && cancelled_()) throw mdc::CancelledError();
+  if (mdc::CancelScope::cancelled()) throw mdc::CancelledError();
   if (deadline_at_ != Clock::time_point{} && Clock::now() >= deadline_at_) {
     throw mdc::CancelledError("deadline exceeded");
   }
@@ -215,29 +213,26 @@ double RemoteMdcOperator::remaining_deadline_s() const {
   return std::max(1e-9, seconds_between(Clock::now(), deadline_at_));
 }
 
-void RemoteMdcOperator::note_exchange(std::size_t worker, std::uint64_t t0_ns,
-                                      std::uint64_t t3_ns,
-                                      const ApplyOkMsg& ok) const {
-  if (rt_ == nullptr) return;
+double RemoteMdcOperator::note_exchange(std::size_t worker,
+                                        std::uint64_t t0_ns,
+                                        std::uint64_t t3_ns,
+                                        const ApplyOkMsg& ok) const {
+  if (rt_ == nullptr) return 0.0;
   rt_->note_worker(worker);
-  const double round_trip_s = 1e-9 * static_cast<double>(t3_ns - t0_ns);
-  if (ok.worker_recv_ns != 0 && ok.worker_send_ns >= ok.worker_recv_ns) {
-    // v2 reply: split the round trip into worker compute (MVM) and
-    // everything else (serialization + transport + queueing = RPC).
-    const double worker_s =
-        1e-9 * static_cast<double>(ok.worker_send_ns - ok.worker_recv_ns);
-    rt_->stages.mvm_s += std::min(worker_s, round_trip_s);
-    rt_->stages.rpc_s += std::max(0.0, round_trip_s - worker_s);
-    rt_->clock_samples[worker].push_back(
-        obs::ClockSample{t0_ns, ok.worker_recv_ns, ok.worker_send_ns, t3_ns});
-  } else {
-    // v1 worker: no clock stamps — the whole round trip is RPC time.
-    rt_->stages.rpc_s += round_trip_s;
+  if (ok.worker_recv_ns == 0 || ok.worker_send_ns < ok.worker_recv_ns) {
+    return 0.0;  // v1 worker: no clock stamps, the round trip is all RPC
   }
+  rt_->clock_samples[worker].push_back(
+      obs::ClockSample{t0_ns, ok.worker_recv_ns, ok.worker_send_ns, t3_ns});
+  const double round_trip_s = 1e-9 * static_cast<double>(t3_ns - t0_ns);
+  const double worker_s =
+      1e-9 * static_cast<double>(ok.worker_send_ns - ok.worker_recv_ns);
+  return std::min(worker_s, round_trip_s);
 }
 
 ApplyOkMsg RemoteMdcOperator::exchange(const ShardAssignment& shard,
-                                       ApplyMsg msg) const {
+                                       ApplyMsg msg,
+                                       double& worker_s) const {
   const Frame request = msg.to_frame();
   for (const std::size_t w : shard.workers) {
     WorkerClient& client = *fleet_[w];
@@ -245,7 +240,7 @@ ApplyOkMsg RemoteMdcOperator::exchange(const ShardAssignment& shard,
     try {
       const std::uint64_t t0 = obs::steady_now_ns();
       ApplyOkMsg ok = parse_apply_reply(client.call(request));
-      note_exchange(w, t0, obs::steady_now_ns(), ok);
+      worker_s = note_exchange(w, t0, obs::steady_now_ns(), ok);
       return ok;
     } catch (const TransportError&) {
       if (on_worker_death_) on_worker_death_(w);
@@ -372,15 +367,21 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
   out_spec_.assign(static_cast<std::size_t>(out_page * nrhs), cf32{});
   const std::span<cf32> out_span(out_spec_);
   double scatter_s = 0.0;
+  // Fan-out accounting: the longest shard's worker compute, and the wall
+  // clock of the last reply with the scatter work done before it.
+  double longest_worker_s = 0.0;
+  std::uint64_t last_reply_ns = mark;
+  double scatter_before_last_s = 0.0;
   for (std::size_t s = 0; s < nshards; ++s) {
     const ShardAssignment& shard = pl.shards[s];
     ApplyOkMsg ok;
+    double worker_s = 0.0;
     bool have = false;
     if (flights[s].dispatched) {
       try {
         ok = parse_apply_reply(flights[s].fut.get());
-        note_exchange(flights[s].worker, flights[s].t0_ns,
-                      rt_ != nullptr ? obs::steady_now_ns() : 0, ok);
+        worker_s = note_exchange(flights[s].worker, flights[s].t0_ns,
+                                 rt_ != nullptr ? obs::steady_now_ns() : 0, ok);
         have = true;
       } catch (const TransportError&) {
         if (on_worker_death_) on_worker_death_(flights[s].worker);
@@ -390,11 +391,16 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
         flights[s].dispatched && have ? flights[s].t0_ns
         : sampled                     ? obs::steady_now_ns()
                                       : 0;
-    if (!have) ok = exchange(shard, std::move(msgs[s]));
+    if (!have) ok = exchange(shard, std::move(msgs[s]), worker_s);
+    if (rt_ != nullptr) {
+      last_reply_ns = obs::steady_now_ns();
+      longest_worker_s = std::max(longest_worker_s, worker_s);
+      scatter_before_last_s = scatter_s;
+    }
     if (sampled) {
       rt_->add_span("frontend.rpc shard=" + std::to_string(shard.shard_id),
                     rpc_spans[s], run_span, rpc_start,
-                    obs::steady_now_ns() - rpc_start);
+                    last_reply_ns - rpc_start);
     }
 
     const auto nq = static_cast<index_t>(shard.freq_bins.size());
@@ -421,7 +427,19 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
           1e-9 * static_cast<double>(obs::steady_now_ns() - scatter_start);
     }
   }
-  if (rt_ != nullptr) rt_->stages.gather_scatter_s += scatter_s;
+  if (rt_ != nullptr) {
+    // Shards run concurrently, so the fan-out is charged once, as wall
+    // time from the first dispatch to the last reply: the longest shard's
+    // worker compute is MVM time, the rest (serialization, transport,
+    // queueing, stragglers) is RPC time.
+    const double fan_out_s = std::max(
+        0.0, 1e-9 * static_cast<double>(last_reply_ns - mark) -
+                 scatter_before_last_s);
+    const double mvm_s = std::min(longest_worker_s, fan_out_s);
+    rt_->stages.mvm_s += mvm_s;
+    rt_->stages.rpc_s += fan_out_s - mvm_s;
+    rt_->stages.gather_scatter_s += scatter_s;
+  }
 
   // F^H: local inverse rFFT per RHS.
   const std::uint64_t ifft_start = rt_ != nullptr ? obs::steady_now_ns() : 0;
@@ -447,482 +465,59 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
   }
 }
 
-// --- ClusterService -------------------------------------------------------
+// --- RemoteSource ---------------------------------------------------------
 
-const char* to_string(ClusterStatus s) {
-  switch (s) {
-    case ClusterStatus::kOk: return "ok";
-    case ClusterStatus::kQueueFull: return "queue_full";
-    case ClusterStatus::kQuotaExceeded: return "quota_exceeded";
-    case ClusterStatus::kDeadlineExceeded: return "deadline_exceeded";
-    case ClusterStatus::kArchiveMissing: return "archive_missing";
-    case ClusterStatus::kWorkerFailed: return "worker_failed";
-    case ClusterStatus::kCancelled: return "cancelled";
-    case ClusterStatus::kError: return "error";
+namespace {
+
+/// A batch's hold on one placement: every solve gets its own
+/// RemoteMdcOperator (request id, deadline and trace are per request).
+class RemoteLease final : public serve::OperatorSource::Lease {
+ public:
+  RemoteLease(RemoteSource& source, std::shared_ptr<const Placement> placement)
+      : source_(source), placement_(std::move(placement)) {}
+
+  [[nodiscard]] index_t rows() const override {
+    return placement_->nt * placement_->ns;
   }
-  return "unknown";
-}
+  [[nodiscard]] std::shared_ptr<const mdc::LinearOperator> bind(
+      std::uint64_t request_id, Clock::time_point deadline_at,
+      obs::RequestTrace& rt) const override {
+    return std::make_shared<RemoteMdcOperator>(
+        source_.fleet(), placement_, request_id, deadline_at,
+        [&source = source_](std::size_t w) { source.note_worker_death(w); },
+        &rt);
+  }
 
-ClusterService::ClusterService(
-    ClusterConfig cfg, std::vector<std::unique_ptr<WorkerClient>> workers)
-    : cfg_(cfg),
-      fleet_(std::move(workers)),
-      submitted_(registry_.counter("cluster.submitted")),
-      admitted_(registry_.counter("cluster.admitted")),
-      completed_(registry_.counter("cluster.completed")),
-      rejected_full_(registry_.counter("cluster.rejected_queue_full")),
-      rejected_quota_(registry_.counter("cluster.rejected_quota")),
-      rejected_deadline_(registry_.counter("cluster.rejected_deadline")),
-      rejected_missing_(registry_.counter("cluster.rejected_archive_missing")),
-      worker_failed_(registry_.counter("cluster.worker_failed")),
-      cancelled_count_(registry_.counter("cluster.cancelled")),
-      failed_(registry_.counter("cluster.failed")),
-      worker_deaths_(registry_.counter("cluster.worker_deaths")),
-      placements_(registry_.counter("cluster.placements")),
-      replans_(registry_.counter("cluster.replans")),
-      solve_hist_(registry_.histogram("cluster.solve_s")),
-      stage_recorder_(registry_, "cluster"),
-      slo_(cfg_.slo),
-      queue_(cfg.queue_capacity),
-      exec_(std::max(1, cfg.frontend_workers)) {
+ private:
+  RemoteSource& source_;
+  std::shared_ptr<const Placement> placement_;
+};
+
+}  // namespace
+
+RemoteSource::RemoteSource(PlannerConfig planner,
+                           std::vector<std::unique_ptr<WorkerClient>> fleet,
+                           obs::MetricsRegistry& registry)
+    : planner_(planner),
+      fleet_(std::move(fleet)),
+      worker_deaths_(registry.counter("cluster.worker_deaths")),
+      placements_(registry.counter("cluster.placements")),
+      replans_(registry.counter("cluster.replans")) {
   TLRWSE_REQUIRE(!fleet_.empty(), "cluster: need at least one worker");
-  worker_futures_.reserve(static_cast<std::size_t>(exec_.thread_count()));
-  for (int w = 0; w < exec_.thread_count(); ++w) {
-    worker_futures_.push_back(exec_.submit([this] { worker_loop(); }));
-  }
 }
 
-ClusterService::~ClusterService() { shutdown(); }
-
-SubmittedRequest ClusterService::submit(ClusterRequest req) {
-  Ticket ticket;
-  ticket.req = std::move(req);
-  ticket.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  ticket.admitted = Clock::now();
-
-  SubmittedRequest out;
-  out.request_id = ticket.id;
-  out.response = ticket.done.get_future();
-  submitted_.add();
-
-  if (cfg_.tenant_quota > 0) {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    std::size_t& inflight = tenant_inflight_[ticket.req.tenant];
-    if (inflight >= cfg_.tenant_quota) {
-      rejected_quota_.add();
-      ClusterResponse r;
-      r.status = ClusterStatus::kQuotaExceeded;
-      r.vsrc = ticket.req.vsrc;
-      r.request_id = ticket.id;
-      ticket.done.set_value(std::move(r));
-      return out;
-    }
-    ++inflight;  // released by respond()
-  }
-
-  const auto push = queue_.try_push(ticket.req.op, ticket);
-  if (push.admitted) {
-    admitted_.add();
-    return out;
-  }
-  rejected_full_.add();
-  ClusterResponse r;
-  r.status = ClusterStatus::kQueueFull;
-  respond(ticket, std::move(r));
-  return out;
+bool RemoteSource::holds(const serve::OperatorKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return placements_cache_.count(key) != 0;
 }
 
-void ClusterService::cancel(std::uint64_t request_id) {
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    cancelled_.insert(request_id);
-  }
-  // Best-effort broadcast; a dead worker just drops it.
-  CancelMsg msg;
-  msg.request_id = request_id;
-  const Frame frame = msg.to_frame();
-  for (const auto& worker : fleet_) {
-    if (worker->alive()) (void)worker->call_async(frame);
-  }
-}
-
-void ClusterService::shutdown() {
-  if (shut_down_.exchange(true)) return;
-  queue_.close();
-  exec_.shutdown();
-  for (auto& f : worker_futures_) {
-    if (f.valid()) f.get();
-  }
-  const Frame bye = ShutdownMsg{}.to_frame();
-  for (const auto& worker : fleet_) {
-    if (!worker->alive()) continue;
-    try {
-      (void)worker->call(bye);
-    } catch (const std::exception&) {
-      // Already gone; shutdown is best-effort.
-    }
-  }
-  for (const auto& worker : fleet_) worker->close();
-}
-
-std::size_t ClusterService::live_workers() const {
-  std::size_t n = 0;
-  for (const auto& worker : fleet_) n += worker->alive() ? 1 : 0;
-  return n;
-}
-
-obs::MetricsRegistry::Snapshot ClusterService::cluster_snapshot() {
-  std::vector<obs::MetricsRegistry::Snapshot> snaps;
-  snaps.push_back(registry_.snapshot());
-  const Frame request = MetricsMsg{}.to_frame();
-  for (const auto& worker : fleet_) {
-    if (!worker->alive()) continue;
-    try {
-      const Frame reply = worker->call(request);
-      if (reply.type == static_cast<std::uint16_t>(MsgType::kMetricsOk)) {
-        snaps.push_back(MetricsOkMsg::from_frame(reply).snapshot);
-      }
-    } catch (const std::exception&) {
-      // A dying worker's numbers are simply absent from the merge.
-    }
-  }
-  return obs::merge_snapshots(snaps);
-}
-
-std::string ClusterService::fleet_prometheus_text() {
-  std::vector<obs::MetricsRegistry::Snapshot> snaps;
-  snaps.push_back(registry_.snapshot());
-  const Frame request = MetricsMsg{}.to_frame();
-  for (const auto& worker : fleet_) {
-    if (!worker->alive()) continue;
-    try {
-      const Frame reply = worker->call(request);
-      if (reply.type == static_cast<std::uint16_t>(MsgType::kMetricsOk)) {
-        snaps.push_back(MetricsOkMsg::from_frame(reply).snapshot);
-      }
-    } catch (const std::exception&) {
-      // A dying worker's numbers are simply absent from the merge.
-    }
-  }
-  return obs::fleet_to_prometheus_text(snaps);
-}
-
-std::vector<ClusterService::WorkerHealth> ClusterService::fleet_health() {
-  std::vector<WorkerHealth> out;
-  out.reserve(fleet_.size());
-  const Frame request = HealthMsg{}.to_frame();
-  for (const auto& worker : fleet_) {
-    WorkerHealth wh;
-    wh.name = worker->name();
-    if (worker->alive()) {
-      try {
-        const Frame reply = worker->call(request);
-        if (reply.type == static_cast<std::uint16_t>(MsgType::kHealthOk)) {
-          wh.health = HealthOkMsg::from_frame(reply);
-          wh.alive = true;
-        }
-      } catch (const std::exception&) {
-        // Poll failure reads as a dead worker in the fleet view.
-      }
-    }
-    out.push_back(std::move(wh));
-  }
-  return out;
-}
-
-std::string ClusterService::fleet_health_json() {
-  const std::vector<WorkerHealth> fleet = fleet_health();
-  const obs::SloTracker::Window win = slo_.window();
-  std::ostringstream os;
-  os << "{\"live_workers\":" << live_workers()
-     << ",\"slo\":{\"count\":" << win.count << ",\"errors\":" << win.errors
-     << ",\"breaches\":" << win.breaches << ",\"p50_s\":" << win.p50_s
-     << ",\"p95_s\":" << win.p95_s << ",\"p99_s\":" << win.p99_s
-     << ",\"burn_rate\":" << win.burn_rate << "},\"workers\":[";
-  for (std::size_t w = 0; w < fleet.size(); ++w) {
-    const WorkerHealth& wh = fleet[w];
-    if (w != 0) os << ",";
-    os << "{\"name\":\"" << wh.name << "\",\"alive\":"
-       << (wh.alive ? "true" : "false")
-       << ",\"uptime_s\":" << 1e-9 * static_cast<double>(wh.health.uptime_ns)
-       << ",\"inflight\":" << wh.health.inflight
-       << ",\"applies\":" << wh.health.applies
-       << ",\"resident_bytes\":" << wh.health.resident_bytes
-       << ",\"streamed_bytes\":" << wh.health.streamed_bytes
-       << ",\"stall_s\":" << wh.health.stall_s
-       << ",\"dropped_spans\":" << wh.health.dropped_spans << ",\"shards\":[";
-    for (std::size_t s = 0; s < wh.health.shards.size(); ++s) {
-      const auto& sh = wh.health.shards[s];
-      if (s != 0) os << ",";
-      os << "{\"shard_id\":" << sh.shard_id << ",\"q_begin\":" << sh.q_begin
-         << ",\"q_end\":" << sh.q_end << ",\"num_freqs\":" << sh.num_freqs
-         << ",\"bytes\":" << sh.bytes << "}";
-    }
-    os << "]}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-void ClusterService::worker_loop() {
-  for (;;) {
-    serve::OperatorKey key;
-    std::vector<Ticket> batch = queue_.pop_batch(cfg_.max_batch, key);
-    if (batch.empty()) return;  // closed and drained
-    process_batch(key, std::move(batch));
-  }
-}
-
-void ClusterService::process_batch(const serve::OperatorKey& key,
-                                   std::vector<Ticket> batch) {
-  std::shared_ptr<const Placement> placement;
-  const auto load_start = Clock::now();
-  try {
-    placement = resolve_placement(key);
-  } catch (const WorkerFailure& e) {
-    for (auto& ticket : batch) {
-      worker_failed_.add();
-      ClusterResponse r;
-      r.status = ClusterStatus::kWorkerFailed;
-      r.error = e.what();
-      respond(ticket, std::move(r));
-    }
-    return;
-  } catch (const std::exception& e) {
-    for (auto& ticket : batch) {
-      rejected_missing_.add();
-      ClusterResponse r;
-      r.status = ClusterStatus::kArchiveMissing;
-      r.error = e.what();
-      respond(ticket, std::move(r));
-    }
-    return;
-  }
-  // Placement resolution (first request pays the shard loads; later ones
-  // hit the cache) is this batch's "load" stage.
-  const double load_s = seconds_between(load_start, Clock::now());
-
-  // Coalescible adjoints: no deadline, not cancelled. Everything else is
-  // solved individually with its own deadline/cancel plumbing.
-  std::vector<std::size_t> adjoint_group;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Ticket& t = batch[i];
-    if (t.req.kind == serve::RequestKind::kAdjoint &&
-        t.req.deadline_s <= 0.0 && !is_cancelled(t.id) &&
-        static_cast<index_t>(t.req.rhs.size()) ==
-            placement->nt * placement->ns) {
-      adjoint_group.push_back(i);
-    }
-  }
-  if (adjoint_group.size() >= 2) {
-    solve_adjoint_group(batch, adjoint_group, placement, load_s);
-  } else {
-    adjoint_group.clear();
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (std::find(adjoint_group.begin(), adjoint_group.end(), i) !=
-        adjoint_group.end()) {
-      continue;  // already answered by the grouped sweep
-    }
-    solve_ticket(batch[i], placement, load_s);
-  }
-}
-
-void ClusterService::solve_adjoint_group(
-    std::vector<Ticket>& batch, const std::vector<std::size_t>& adj,
-    const std::shared_ptr<const Placement>& placement, double load_s) {
-  const auto nrhs = static_cast<index_t>(adj.size());
-  const index_t rows = placement->nt * placement->ns;
-  const index_t cols = placement->nt * placement->nr;
-  std::vector<float> Y(static_cast<std::size_t>(rows * nrhs));
-  std::vector<float> X(static_cast<std::size_t>(cols * nrhs));
-  for (index_t r = 0; r < nrhs; ++r) {
-    const Ticket& t = batch[adj[static_cast<std::size_t>(r)]];
-    std::copy(t.req.rhs.begin(), t.req.rhs.end(),
-              Y.begin() + static_cast<std::ptrdiff_t>(r * rows));
-  }
-  const auto t0 = Clock::now();
-  // Stage attribution only (no sampling): the grouped sweep shares one
-  // remote pass, so its stage times are shared by every grouped ticket.
-  RequestTrace rt;
-  rt.stages.load_s = load_s;
-  try {
-    // request_id 0 is never issued to callers, so the group can't be hit
-    // by a cancel; deadline-carrying tickets were excluded above.
-    RemoteMdcOperator op(fleet_, placement, /*request_id=*/0, {}, {},
-                         [this](std::size_t w) { note_worker_death(w); },
-                         &rt);
-    op.apply_adjoint_batch(Y, X, nrhs);
-  } catch (const WorkerFailure& e) {
-    invalidate_placement(batch[adj.front()].req.op);
-    for (const std::size_t i : adj) {
-      worker_failed_.add();
-      ClusterResponse r;
-      r.status = ClusterStatus::kWorkerFailed;
-      r.error = e.what();
-      respond(batch[i], std::move(r));
-    }
-    return;
-  } catch (const std::exception& e) {
-    for (const std::size_t i : adj) {
-      failed_.add();
-      ClusterResponse r;
-      r.status = ClusterStatus::kError;
-      r.error = e.what();
-      respond(batch[i], std::move(r));
-    }
-    return;
-  }
-  const double solve_s = seconds_between(t0, Clock::now());
-  for (index_t r = 0; r < nrhs; ++r) {
-    Ticket& t = batch[adj[static_cast<std::size_t>(r)]];
-    ClusterResponse resp;
-    resp.status = ClusterStatus::kOk;
-    resp.x.assign(X.begin() + static_cast<std::ptrdiff_t>(r * cols),
-                  X.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols));
-    resp.queue_wait_s = seconds_between(t.admitted, t0);
-    resp.solve_s = solve_s;
-    resp.stages = rt.stages;
-    resp.stages.queue_wait_s = resp.queue_wait_s;
-    solve_hist_.record(solve_s);
-    stage_recorder_.record(resp.stages);
-    respond(t, std::move(resp));
-  }
-}
-
-void ClusterService::solve_ticket(
-    Ticket& ticket, const std::shared_ptr<const Placement>& placement,
-    double load_s) {
-  const auto dequeued = Clock::now();
-  ClusterResponse resp;
-  resp.queue_wait_s = seconds_between(ticket.admitted, dequeued);
-
-  if (is_cancelled(ticket.id)) {
-    cancelled_count_.add();
-    resp.status = ClusterStatus::kCancelled;
-    respond(ticket, std::move(resp));
-    return;
-  }
-  Clock::time_point deadline_at{};
-  if (ticket.req.deadline_s > 0.0) {
-    deadline_at = ticket.admitted +
-                  std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(ticket.req.deadline_s));
-    if (dequeued >= deadline_at) {
-      rejected_deadline_.add();
-      resp.status = ClusterStatus::kDeadlineExceeded;
-      respond(ticket, std::move(resp));
-      return;
-    }
-  }
-  const index_t rows = placement->nt * placement->ns;
-  const index_t cols = placement->nt * placement->nr;
-  if (static_cast<index_t>(ticket.req.rhs.size()) != rows) {
-    failed_.add();
-    resp.status = ClusterStatus::kError;
-    resp.error = "rhs size does not match nt x nS of the archive";
-    respond(ticket, std::move(resp));
-    return;
-  }
-
-  const std::uint64_t id = ticket.id;
-  // Always-on stage attribution; spans/clock samples only when the caller
-  // asked for a distributed trace. The request id doubles as the trace id
-  // (unique per service, never 0 for issued requests).
-  RequestTrace rt;
-  rt.stages.queue_wait_s = resp.queue_wait_s;
-  rt.stages.load_s = load_s;
-  std::uint64_t root_span = 0;
-  const std::uint64_t solve_start_ns = obs::steady_now_ns();
-  if (ticket.req.trace) {
-    rt.ctx.trace_id = id;
-    rt.ctx.sampled = true;
-    root_span = rt.new_span_id();
-    rt.ctx.parent_span_id = root_span;
-  }
-  RemoteMdcOperator op(
-      fleet_, placement, id, deadline_at,
-      [this, id] { return is_cancelled(id); },
-      [this](std::size_t w) { note_worker_death(w); }, &rt);
-
-  try {
-    if (ticket.req.kind == serve::RequestKind::kAdjoint) {
-      resp.x.resize(static_cast<std::size_t>(cols));
-      op.apply_adjoint(ticket.req.rhs, resp.x);
-      resp.status = ClusterStatus::kOk;
-    } else {
-      mdd::LsqrConfig lsqr = ticket.req.lsqr;
-      const std::function<bool()> user_stop = lsqr.should_stop;
-      lsqr.should_stop = [this, id, deadline_at, user_stop] {
-        if (user_stop && user_stop()) return true;
-        if (is_cancelled(id)) return true;
-        return deadline_at != Clock::time_point{} &&
-               Clock::now() >= deadline_at;
-      };
-      const std::uint64_t lsqr_start_ns = obs::steady_now_ns();
-      mdd::LsqrResult result = mdd::lsqr_solve(op, ticket.req.rhs, lsqr);
-      rt.stages.lsqr_s +=
-          1e-9 * static_cast<double>(obs::steady_now_ns() - lsqr_start_ns);
-      rt.stages.lsqr_iterations = result.iterations;
-      resp.x = std::move(result.x);
-      resp.iterations = result.iterations;
-      resp.residual_norm = result.residual_norm;
-      if (result.stop == mdd::LsqrResult::Stop::kAborted) {
-        if (is_cancelled(id)) {
-          cancelled_count_.add();
-          resp.status = ClusterStatus::kCancelled;
-        } else if (deadline_at != Clock::time_point{} &&
-                   Clock::now() >= deadline_at) {
-          rejected_deadline_.add();
-          resp.status = ClusterStatus::kDeadlineExceeded;
-          resp.x.clear();
-        } else {
-          resp.status = ClusterStatus::kOk;  // user's own should_stop
-        }
-      } else {
-        resp.status = ClusterStatus::kOk;
-      }
-    }
-  } catch (const mdc::CancelledError&) {
-    if (is_cancelled(id)) {
-      cancelled_count_.add();
-      resp.status = ClusterStatus::kCancelled;
-    } else {
-      rejected_deadline_.add();
-      resp.status = ClusterStatus::kDeadlineExceeded;
-    }
-    resp.x.clear();
-  } catch (const WorkerFailure& e) {
-    invalidate_placement(ticket.req.op);
-    worker_failed_.add();
-    resp.status = ClusterStatus::kWorkerFailed;
-    resp.error = e.what();
-    resp.x.clear();
-  } catch (const std::exception& e) {
-    failed_.add();
-    resp.status = ClusterStatus::kError;
-    resp.error = e.what();
-    resp.x.clear();
-  }
-  resp.solve_s = seconds_between(dequeued, Clock::now());
-  if (resp.status == ClusterStatus::kOk) solve_hist_.record(resp.solve_s);
-  resp.stages = rt.stages;
-  stage_recorder_.record(resp.stages);
-  if (rt.ctx.sampled) {
-    rt.add_span("request", root_span, /*parent_span_id=*/0, solve_start_ns,
-                obs::steady_now_ns() - solve_start_ns);
-    resp.trace_json = collect_trace(rt);
-  }
-  respond(ticket, std::move(resp));
-}
-
-std::shared_ptr<const Placement> ClusterService::resolve_placement(
+std::unique_ptr<serve::OperatorSource::Lease> RemoteSource::acquire(
     const serve::OperatorKey& key) {
   std::shared_future<std::shared_ptr<const Placement>> fut;
   std::promise<std::shared_ptr<const Placement>> promise;
   bool creator = false;
   {
-    std::lock_guard<std::mutex> lock(state_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     const auto it = placements_cache_.find(key);
     if (it != placements_cache_.end()) {
       fut = it->second;
@@ -938,17 +533,22 @@ std::shared_ptr<const Placement> ClusterService::resolve_placement(
     } catch (...) {
       promise.set_exception(std::current_exception());
       // Drop the poisoned entry so a later request can retry the load.
-      std::lock_guard<std::mutex> lock(state_mu_);
-      placements_cache_.erase(key);
+      invalidate(key);
     }
   }
-  return fut.get();  // rethrows a build failure for waiters too
+  try {
+    return std::make_unique<RemoteLease>(*this, fut.get());
+  } catch (const serve::SourceError&) {
+    throw;
+  } catch (const std::exception& e) {
+    // Everything untyped failed on the archive side (missing, unreadable).
+    throw ArchiveFailure(e.what());
+  }
 }
 
-std::shared_ptr<const Placement> ClusterService::build_placement(
+std::shared_ptr<const Placement> RemoteSource::build_placement(
     const serve::OperatorKey& key) {
   const std::string& path = key.archive_id;
-  // Throws on a missing/corrupt archive -> kArchiveMissing upstream.
   const std::vector<double> weights = io::archive_kernel_bytes(path);
   const auto nf = static_cast<index_t>(weights.size());
 
@@ -961,7 +561,7 @@ std::shared_ptr<const Placement> ClusterService::build_placement(
     }
     if (live.empty()) break;
 
-    PlannerConfig pc = cfg_.planner;
+    PlannerConfig pc = planner_;
     pc.num_workers = static_cast<int>(live.size());
     const ShardPlan plan = plan_shards(weights, pc);
 
@@ -1000,12 +600,10 @@ std::shared_ptr<const Placement> ClusterService::build_placement(
           shard.workers.push_back(w);
         } catch (const TransportError&) {
           note_worker_death(w);
-          lost_worker = true;
         }
       }
       if (!have_dims) continue;  // every replica died; replan
       placement->shards.push_back(std::move(shard));
-      (void)lost_worker;  // partial replica loss is fine when replicated
     } else {
       std::vector<std::pair<std::size_t, std::future<Frame>>> loads;
       std::vector<LoadShardMsg> msgs;
@@ -1046,12 +644,22 @@ std::shared_ptr<const Placement> ClusterService::build_placement(
   throw WorkerFailure("cluster: no live workers to place archive " + path);
 }
 
-std::string ClusterService::collect_trace(RequestTrace& rt) {
-  obs::MergedTraceInput input;
-  input.trace_id = rt.ctx.trace_id;
-  input.frontend_spans = std::move(rt.spans);
-  input.frontend_dropped = rt.dropped;
+void RemoteSource::invalidate(const serve::OperatorKey& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  placements_cache_.erase(key);
+}
 
+void RemoteSource::cancel(std::uint64_t request_id) {
+  CancelMsg msg;
+  msg.request_id = request_id;
+  const Frame frame = msg.to_frame();
+  for (const auto& worker : fleet_) {
+    if (worker->alive()) (void)worker->call_async(frame);
+  }
+}
+
+void RemoteSource::collect_trace(obs::RequestTrace& rt,
+                                 std::vector<obs::WorkerTrace>& out) {
   TraceDumpMsg dump;
   dump.trace_id = rt.ctx.trace_id;
   const Frame request = dump.to_frame();
@@ -1068,64 +676,133 @@ std::string ClusterService::collect_trace(RequestTrace& rt) {
       wt.offset_ns = obs::estimate_clock_offset_ns(rt.clock_samples[w]);
       wt.spans = std::move(ok.spans);
       wt.dropped_spans = ok.dropped_spans;
-      input.workers.push_back(std::move(wt));
+      out.push_back(std::move(wt));
     } catch (const std::exception&) {
       // A worker that died after serving its exchanges just leaves a hole
       // in the timeline; the frontend spans still merge.
     }
   }
-  return obs::merge_trace_json(input);
 }
 
-void ClusterService::record_slo(const ClusterResponse& r) {
-  slo_.record(r.total_s, r.status == ClusterStatus::kOk);
-  slo_.publish(registry_, "cluster");
-  if (!slo_.breaches_objective(r.total_s) ||
-      slo_.config().exemplar_dir.empty()) {
-    return;
-  }
-  std::ostringstream os;
-  os << "{\"request_id\":" << r.request_id << ",\"status\":\""
-     << to_string(r.status) << "\",\"queue_wait_s\":" << r.queue_wait_s
-     << ",\"solve_s\":" << r.solve_s << ",\"total_s\":" << r.total_s
-     << ",\"stages\":" << r.stages.to_json();
-  if (!r.trace_json.empty()) os << ",\"trace\":" << r.trace_json;
-  os << "}";
-  (void)slo_.persist_exemplar(r.request_id, os.str());
-}
-
-bool ClusterService::is_cancelled(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return cancelled_.count(id) != 0;
-}
-
-void ClusterService::invalidate_placement(const serve::OperatorKey& key) {
-  // Solves already holding the shared_ptr keep their placement; only the
-  // cache entry goes, so the next resolve_placement() rebuilds it.
-  std::lock_guard<std::mutex> lock(state_mu_);
-  placements_cache_.erase(key);
-}
-
-void ClusterService::note_worker_death(std::size_t worker) {
-  std::lock_guard<std::mutex> lock(state_mu_);
+void RemoteSource::note_worker_death(std::size_t worker) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (dead_noted_.insert(worker).second) worker_deaths_.add();
 }
 
-void ClusterService::respond(Ticket& ticket, ClusterResponse r) {
-  r.vsrc = ticket.req.vsrc;
-  r.request_id = ticket.id;
-  r.total_s = seconds_between(ticket.admitted, Clock::now());
-  if (r.status == ClusterStatus::kOk) completed_.add();
-  record_slo(r);
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    if (cfg_.tenant_quota > 0) {
-      const auto it = tenant_inflight_.find(ticket.req.tenant);
-      if (it != tenant_inflight_.end() && it->second > 0) --it->second;
+// --- ClusterService -------------------------------------------------------
+
+ClusterService::ClusterService(
+    ClusterConfig cfg, std::vector<std::unique_ptr<WorkerClient>> workers)
+    : source_(cfg.planner, std::move(workers), registry_),
+      engine_(serve::FrontendConfig{std::max(1, cfg.frontend_workers),
+                                    cfg.queue_capacity, cfg.max_batch,
+                                    cfg.tenant_quota, cfg.slo},
+              source_, registry_) {}
+
+ClusterService::~ClusterService() { shutdown(); }
+
+void ClusterService::shutdown() {
+  if (shut_down_.exchange(true)) return;
+  engine_.shutdown();
+  const Frame bye = ShutdownMsg{}.to_frame();
+  for (const auto& worker : source_.fleet()) {
+    if (!worker->alive()) continue;
+    try {
+      (void)worker->call(bye);
+    } catch (const std::exception&) {
+      // Already gone; shutdown is best-effort.
     }
-    cancelled_.erase(ticket.id);
   }
-  ticket.done.set_value(std::move(r));
+  for (const auto& worker : source_.fleet()) worker->close();
+}
+
+std::size_t ClusterService::live_workers() const {
+  std::size_t n = 0;
+  for (const auto& worker : source_.fleet()) n += worker->alive() ? 1 : 0;
+  return n;
+}
+
+std::vector<obs::MetricsRegistry::Snapshot> ClusterService::fleet_snapshots() {
+  std::vector<obs::MetricsRegistry::Snapshot> snaps;
+  snaps.push_back(registry_.snapshot());
+  const Frame request = MetricsMsg{}.to_frame();
+  for (const auto& worker : source_.fleet()) {
+    if (!worker->alive()) continue;
+    try {
+      const Frame reply = worker->call(request);
+      if (reply.type == static_cast<std::uint16_t>(MsgType::kMetricsOk)) {
+        snaps.push_back(MetricsOkMsg::from_frame(reply).snapshot);
+      }
+    } catch (const std::exception&) {
+      // A dying worker's numbers are simply absent from the merge.
+    }
+  }
+  return snaps;
+}
+
+obs::MetricsRegistry::Snapshot ClusterService::cluster_snapshot() {
+  return obs::merge_snapshots(fleet_snapshots());
+}
+
+std::string ClusterService::fleet_prometheus_text() {
+  return obs::fleet_to_prometheus_text(fleet_snapshots());
+}
+
+std::vector<ClusterService::WorkerHealth> ClusterService::fleet_health() {
+  std::vector<WorkerHealth> out;
+  out.reserve(source_.fleet().size());
+  const Frame request = HealthMsg{}.to_frame();
+  for (const auto& worker : source_.fleet()) {
+    WorkerHealth wh;
+    wh.name = worker->name();
+    if (worker->alive()) {
+      try {
+        const Frame reply = worker->call(request);
+        if (reply.type == static_cast<std::uint16_t>(MsgType::kHealthOk)) {
+          wh.health = HealthOkMsg::from_frame(reply);
+          wh.alive = true;
+        }
+      } catch (const std::exception&) {
+        // Poll failure reads as a dead worker in the fleet view.
+      }
+    }
+    out.push_back(std::move(wh));
+  }
+  return out;
+}
+
+std::string ClusterService::fleet_health_json() {
+  const std::vector<WorkerHealth> fleet = fleet_health();
+  const obs::SloTracker::Window win = slo_window();
+  std::ostringstream os;
+  os << "{\"live_workers\":" << live_workers()
+     << ",\"slo\":{\"count\":" << win.count << ",\"errors\":" << win.errors
+     << ",\"breaches\":" << win.breaches << ",\"p50_s\":" << win.p50_s
+     << ",\"p95_s\":" << win.p95_s << ",\"p99_s\":" << win.p99_s
+     << ",\"burn_rate\":" << win.burn_rate << "},\"workers\":[";
+  for (std::size_t w = 0; w < fleet.size(); ++w) {
+    const WorkerHealth& wh = fleet[w];
+    if (w != 0) os << ",";
+    os << "{\"name\":\"" << wh.name << "\",\"alive\":"
+       << (wh.alive ? "true" : "false")
+       << ",\"uptime_s\":" << 1e-9 * static_cast<double>(wh.health.uptime_ns)
+       << ",\"inflight\":" << wh.health.inflight
+       << ",\"applies\":" << wh.health.applies
+       << ",\"resident_bytes\":" << wh.health.resident_bytes
+       << ",\"streamed_bytes\":" << wh.health.streamed_bytes
+       << ",\"stall_s\":" << wh.health.stall_s
+       << ",\"dropped_spans\":" << wh.health.dropped_spans << ",\"shards\":[";
+    for (std::size_t s = 0; s < wh.health.shards.size(); ++s) {
+      const auto& sh = wh.health.shards[s];
+      if (s != 0) os << ",";
+      os << "{\"shard_id\":" << sh.shard_id << ",\"q_begin\":" << sh.q_begin
+         << ",\"q_end\":" << sh.q_end << ",\"num_freqs\":" << sh.num_freqs
+         << ",\"bytes\":" << sh.bytes << "}";
+    }
+    os << "]}";
+  }
+  os << "]}";
+  return os.str();
 }
 
 }  // namespace tlrwse::cluster

@@ -67,7 +67,7 @@ class MdcOperator final : public LinearOperator {
   void apply_batch(std::span<const float> X, std::span<float> Y,
                    index_t nrhs) const;
   void apply_adjoint_batch(std::span<const float> Y, std::span<float> X,
-                           index_t nrhs) const;
+                           index_t nrhs) const override;
 
   /// Caps the OpenMP team size of the frequency loop (0 = runtime default).
   /// Concurrent top-level applies from distinct OS threads each spawn their

@@ -23,10 +23,11 @@ struct StageBreakdown {
   double load_s = 0.0;          // operator cache miss / shard load
   double stream_stall_s = 0.0;  // oocache prefetch stalls inside the solve
   double fft_s = 0.0;           // forward + inverse rFFT stages
-  double mvm_s = 0.0;           // per-frequency kernel MVMs (worker-side in
-                                // the cluster: sum of worker compute time)
+  double mvm_s = 0.0;           // per-frequency kernel MVMs (cluster: the
+                                // longest shard's worker compute per apply)
   double gather_scatter_s = 0.0;  // panel gather + spectrum scatter
-  double rpc_s = 0.0;           // wire round-trips (dispatch -> collect)
+  double rpc_s = 0.0;           // cluster: rest of each apply's fan-out wall
+                                // time (first dispatch -> last reply)
   double lsqr_s = 0.0;          // whole LSQR loop (contains fft/mvm/rpc)
   int lsqr_iterations = 0;
 

@@ -17,11 +17,14 @@
 // overlap even under offset estimation error.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "tlrwse/obs/stage_breakdown.hpp"
 #include "tlrwse/obs/trace_context.hpp"
 
 namespace tlrwse::obs {
@@ -43,6 +46,54 @@ struct ClockSample {
 /// + offset), from the minimum-RTT sample. Returns 0 for an empty set.
 [[nodiscard]] std::int64_t estimate_clock_offset_ns(
     std::span<const ClockSample> samples) noexcept;
+
+/// Per-request observability state threaded through one solve. Stage times
+/// are always accumulated (they feed the per-stage latency histograms and
+/// the response's StageBreakdown); spans and clock samples are only
+/// collected when `ctx.sampled` — the cost of a full distributed timeline
+/// is opt-in per request.
+struct RequestTrace {
+  TraceContext ctx;
+  StageBreakdown stages;
+  /// Frontend-side spans (raw steady-clock ns), bounded; overflow counts
+  /// into `dropped` so the merged timeline can be marked lossy.
+  std::vector<RemoteSpan> spans;
+  std::uint64_t dropped = 0;
+  /// RPC send/recv timestamp pairs per fleet index, for NTP-style clock
+  /// alignment of that worker's spans against the frontend clock.
+  std::vector<std::vector<ClockSample>> clock_samples;
+  /// Fleet indices that served at least one exchange of this request.
+  std::vector<std::size_t> workers;
+
+  static constexpr std::size_t kMaxSpans = 4096;
+
+  std::uint64_t new_span_id() { return next_span_id_++; }
+  void note_worker(std::size_t w) {
+    for (const std::size_t seen : workers) {
+      if (seen == w) return;
+    }
+    workers.push_back(w);
+  }
+  void add_span(std::string name, std::uint64_t span_id,
+                std::uint64_t parent_span_id, std::uint64_t ts_ns,
+                std::uint64_t dur_ns) {
+    if (spans.size() >= kMaxSpans) {
+      ++dropped;
+      return;
+    }
+    RemoteSpan s;
+    s.name = std::move(name);
+    s.trace_id = ctx.trace_id;
+    s.span_id = span_id;
+    s.parent_span_id = parent_span_id;
+    s.ts_ns = ts_ns;
+    s.dur_ns = dur_ns;
+    spans.push_back(std::move(s));
+  }
+
+ private:
+  std::uint64_t next_span_id_ = 1;
+};
 
 /// One worker's contribution to a merged trace.
 struct WorkerTrace {

@@ -1,4 +1,4 @@
-// Multi-tenant MDD solve service: admit -> cache -> batch -> solve.
+// Multi-tenant MDD solve service: the Frontend over a local operator source.
 //
 // Turns the batch-mode archive->solve path into a concurrent service with
 // the compute shape of a batched inference server holding model weights:
@@ -11,76 +11,24 @@
 // residency and dispatch, never the per-request arithmetic, and the
 // frequency loop is thread-count invariant.
 //
-// Request lifecycle:
-//   submit()  -- validate the archive header (cheap peek; typed
-//                kArchiveMissing), then try to enter the bounded queue
-//                (typed kQueueFull when the service is saturated);
-//   workers   -- pop a per-operator batch (round-robin across operators),
-//                resolve the operator through the cache (loaded from the
-//                archive exactly once), drop requests whose deadline
-//                already passed (typed kDeadlineExceeded), solve the rest;
-//   response  -- futures resolve with the solution + per-request timings;
-//                every counter lands in ServiceMetrics / metrics JSON.
+// The request lifecycle (admission, batching, deadlines, coalescing, SLO)
+// is serve::Frontend's; this file holds the local OperatorSource — cache
+// lookup, archive load into a resident or streamed MdcOperator, inner
+// thread cap, cache gauges — and the SolveService facade that wires the
+// two together under the "serve.*" metric names.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "tlrwse/mdd/lsqr.hpp"
 #include "tlrwse/obs/metrics_registry.hpp"
 #include "tlrwse/obs/slo_tracker.hpp"
-#include "tlrwse/obs/stage_breakdown.hpp"
-#include "tlrwse/serve/admission_queue.hpp"
+#include "tlrwse/serve/frontend.hpp"
 #include "tlrwse/serve/metrics.hpp"
 #include "tlrwse/serve/operator_cache.hpp"
-#include "tlrwse/serve/task_executor.hpp"
 
 namespace tlrwse::serve {
-
-enum class RequestKind {
-  kAdjoint,  // cross-correlation estimate x = A^T b (one adjoint pass)
-  kLsqr,     // least-squares inversion (the paper's 30-iteration budget)
-};
-
-enum class SolveStatus {
-  kOk,
-  kQueueFull,         // bounded admission queue was full (backpressure)
-  kDeadlineExceeded,  // per-request deadline passed before/during the solve
-  kArchiveMissing,    // named archive absent or unreadable at admission/load
-  kError,             // unexpected solve/loader failure (details in .error)
-};
-[[nodiscard]] const char* to_string(SolveStatus s);
-
-struct SolveRequest {
-  OperatorKey op;                      // which resident operator to solve on
-  RequestKind kind = RequestKind::kLsqr;
-  index_t vsrc = -1;                   // virtual-source tag (echoed back)
-  std::vector<float> rhs;              // observed data b, nt x nS traces
-  mdd::LsqrConfig lsqr;                // iteration budget, tolerances, hooks
-  double deadline_s = 0.0;             // 0 = none; budget from admission on
-};
-
-struct SolveResponse {
-  SolveStatus status = SolveStatus::kOk;
-  index_t vsrc = -1;
-  std::vector<float> x;                // solution traces (partial on abort)
-  int iterations = 0;
-  double residual_norm = 0.0;
-  double queue_wait_s = 0.0;           // admission -> dequeue
-  double solve_s = 0.0;                // dequeue -> solved
-  double total_s = 0.0;                // admission -> response
-  std::size_t batch_size = 0;          // requests coalesced into its batch
-  /// Per-stage latency attribution (queue/load/stall/lsqr on this local
-  /// path; the fft/mvm/rpc fields stay 0 — the cluster tier fills them).
-  obs::StageBreakdown stages;
-  std::string error;                   // populated for kError / kArchiveMissing
-};
 
 struct ServiceConfig {
   int workers = 4;                     // concurrent solve batches
@@ -103,6 +51,34 @@ struct ServiceConfig {
   obs::SloConfig slo;
 };
 
+/// Operators resolved in-process: OperatorCache -> resident or streamed
+/// MdcOperator, loaded from the archive exactly once per cache residency.
+class LocalSource final : public OperatorSource {
+ public:
+  /// Uses cfg's cache, residency and inner-thread settings (inner_threads
+  /// 0 resolves against cfg.workers).
+  LocalSource(const ServiceConfig& cfg, obs::MetricsRegistry& registry);
+
+  [[nodiscard]] const char* metric_prefix() const override { return "serve"; }
+  [[nodiscard]] bool holds(const OperatorKey& key) const override {
+    return cache_.contains(key);
+  }
+  [[nodiscard]] std::unique_ptr<Lease> acquire(const OperatorKey& key) override;
+
+  [[nodiscard]] const OperatorCache& cache() const noexcept { return cache_; }
+
+ private:
+  [[nodiscard]] OperatorCache::Value load(const OperatorKey& key) const;
+
+  double max_resident_bytes_;
+  int inner_threads_;
+  OperatorCache cache_;
+  // Resident operator bytes as stored (packed) vs stored-uniformly-fp32;
+  // the gap is the mixed-precision capacity win of half archives.
+  obs::Gauge& cache_packed_gauge_;
+  obs::Gauge& cache_fp32_gauge_;
+};
+
 class SolveService {
  public:
   explicit SolveService(ServiceConfig cfg = {});
@@ -114,101 +90,40 @@ class SolveService {
   /// Never blocks on the solve: rejected requests (queue-full,
   /// archive-missing) resolve their future immediately with the typed
   /// status; admitted requests resolve when a worker finishes them.
-  [[nodiscard]] std::future<SolveResponse> submit(SolveRequest req);
+  [[nodiscard]] std::future<SolveResponse> submit(SolveRequest req) {
+    return engine_.submit(std::move(req)).response;
+  }
 
   /// Stops admission, drains every admitted request, joins the workers.
   /// Idempotent; the destructor calls it.
-  void shutdown();
+  void shutdown() { engine_.shutdown(); }
 
   [[nodiscard]] ServiceMetrics metrics() const;
   [[nodiscard]] std::string metrics_json() const { return metrics().to_json(); }
-  [[nodiscard]] const OperatorCache& cache() const noexcept { return cache_; }
+  [[nodiscard]] const OperatorCache& cache() const noexcept {
+    return source_.cache();
+  }
   [[nodiscard]] const ServiceConfig& config() const noexcept { return cfg_; }
 
-  /// The registry backing every lifecycle counter/histogram below (names
-  /// "serve.*"). ServiceMetrics::counters is derived from it, so a snapshot
-  /// here and metrics() agree bitwise. Each service owns its registry so
+  /// The registry backing every lifecycle counter/histogram ("serve.*").
+  /// ServiceMetrics::counters is derived from it, so a snapshot here and
+  /// metrics() agree bitwise. Each service owns its registry so
   /// concurrent instances never mix numbers.
   [[nodiscard]] const obs::MetricsRegistry& registry() const noexcept {
     return registry_;
   }
 
   /// The rolling SLO window (p50/p95/p99, error-budget burn rate) over
-  /// requests that reached a solve attempt.
+  /// every response, rejects included.
   [[nodiscard]] obs::SloTracker::Window slo_window() const {
-    return slo_.window();
+    return engine_.slo_window();
   }
 
  private:
-  struct Ticket {
-    SolveRequest req;
-    std::promise<SolveResponse> done;
-    std::chrono::steady_clock::time_point admitted;
-  };
-
-  void worker_loop();
-  /// Blocks for work; empty result means the service is shutting down.
-  [[nodiscard]] std::vector<Ticket> pop_batch(OperatorKey& key);
-  void process_batch(const OperatorKey& key, std::vector<Ticket> batch);
-  void solve_ticket(Ticket& ticket, const ResidentOperator& resident,
-                    std::size_t batch_size, double load_s);
-  /// Serves >= 2 coalesced adjoint tickets with ONE multi-RHS adjoint
-  /// sweep over the resident operator (each result bitwise identical to
-  /// its single-request solve). `adj` indexes into `batch`.
-  void solve_adjoint_group(std::vector<Ticket>& batch,
-                           const std::vector<std::size_t>& adj,
-                           const ResidentOperator& resident,
-                           std::size_t batch_size, double load_s);
-  [[nodiscard]] OperatorCache::Value load_resident(const OperatorKey& key);
-  void record_latency(double total_s, double wait_s, double solve_s);
-  static void respond(Ticket& ticket, SolveResponse response);
-  /// Stage histograms + SLO window + breach exemplar, then respond().
-  /// Stage rows are only recorded when the solve actually ran (solve_s >
-  /// 0), so dequeue-time rejects don't drown the attribution in zeros.
-  void finish(Ticket& ticket, SolveResponse response);
-
   ServiceConfig cfg_;
-  OperatorCache cache_;
-
-  // Lifecycle counters live in the per-service registry; the references
-  // below are the resolved handles (stable for the registry's lifetime)
-  // used on the hot path. Initialisation order matters: registry_ first.
   mutable obs::MetricsRegistry registry_;
-  obs::Counter& submitted_;
-  obs::Counter& admitted_;
-  obs::Counter& completed_;
-  obs::Counter& rejected_full_;
-  obs::Counter& rejected_deadline_;
-  obs::Counter& rejected_missing_;
-  obs::Counter& failed_;
-  obs::Counter& batches_;
-  obs::Counter& coalesced_;
-  obs::Counter& multi_rhs_;  // adjoint tickets served by a shared multi-RHS sweep
-  obs::Gauge& queue_depth_gauge_;
-  obs::Gauge& queue_peak_gauge_;
-  // Resident operator bytes as stored (packed) vs stored-uniformly-fp32;
-  // the gap is the mixed-precision capacity win of half archives.
-  obs::Gauge& cache_packed_gauge_;
-  obs::Gauge& cache_fp32_gauge_;
-  obs::Histogram& latency_hist_;
-  obs::Histogram& queue_wait_hist_;
-  obs::Histogram& solve_hist_;
-  obs::StageRecorder stage_recorder_;
-  obs::SloTracker slo_;
-  std::atomic<std::uint64_t> exemplar_id_{1};
-
-  // Admission, per-operator grouping and round-robin batching live in the
-  // shared queue (also the cluster frontend's front half).
-  AdmissionQueue<OperatorKey, Ticket, OperatorKeyHash> queue_;
-  std::atomic<bool> shut_down_{false};
-
-  // Exact per-request samples (the histograms above are octave-bucketed;
-  // LatencySummary wants exact quantiles).
-  mutable std::mutex latency_mu_;
-  std::vector<double> latency_s_, queue_wait_s_, solve_s_;
-
-  TaskExecutor exec_;  // declared last: workers must see live members above
-  std::vector<std::future<void>> worker_futures_;
+  LocalSource source_;
+  Frontend engine_;  // declared last: its workers use the members above
 };
 
 }  // namespace tlrwse::serve

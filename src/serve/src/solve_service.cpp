@@ -1,18 +1,13 @@
 #include "tlrwse/serve/solve_service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
-#include <sstream>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
-#include "tlrwse/common/error.hpp"
 #include "tlrwse/io/archive.hpp"
-#include "tlrwse/mdc/cancellation.hpp"
-#include "tlrwse/mdd/mdd_solver.hpp"
 #include "tlrwse/obs/tracer.hpp"
 #include "tlrwse/oocache/shard_streamer.hpp"
 #include "tlrwse/oocache/stream_plan.hpp"
@@ -20,12 +15,6 @@
 namespace tlrwse::serve {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_between(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
 
 /// Even split of the machine between request workers when the caller does
 /// not pin an inner team size.
@@ -38,142 +27,67 @@ int default_inner_threads(int workers) {
 #endif
 }
 
+ServiceConfig resolved(ServiceConfig cfg) {
+  if (cfg.inner_threads <= 0) {
+    cfg.inner_threads = default_inner_threads(cfg.workers);
+  }
+  return cfg;
+}
+
+/// A batch's hold on one cache entry: the shared resident operator, which
+/// polls the engine's CancelScope itself.
+class LocalLease final : public OperatorSource::Lease {
+ public:
+  using Clock = OperatorSource::Clock;
+
+  explicit LocalLease(OperatorCache::Value resident)
+      : resident_(std::move(resident)) {}
+
+  [[nodiscard]] index_t rows() const override { return resident_->op->rows(); }
+  [[nodiscard]] std::shared_ptr<const mdc::LinearOperator> bind(
+      std::uint64_t /*request_id*/, Clock::time_point /*deadline_at*/,
+      obs::RequestTrace& /*rt*/) const override {
+    return {resident_, resident_->op.get()};
+  }
+  [[nodiscard]] double stall_s() const override {
+    // Shared streamer: concurrent solves on the same operator can bleed
+    // stalls into each other's delta; the window is still the right order.
+    return resident_->streamer ? resident_->streamer->stats().stall_s : 0.0;
+  }
+
+ private:
+  OperatorCache::Value resident_;
+};
+
 }  // namespace
 
-const char* to_string(SolveStatus s) {
-  switch (s) {
-    case SolveStatus::kOk: return "ok";
-    case SolveStatus::kQueueFull: return "queue_full";
-    case SolveStatus::kDeadlineExceeded: return "deadline_exceeded";
-    case SolveStatus::kArchiveMissing: return "archive_missing";
-    case SolveStatus::kError: return "error";
-  }
-  return "unknown";
-}
-
-SolveService::SolveService(ServiceConfig cfg)
-    : cfg_(cfg),
+LocalSource::LocalSource(const ServiceConfig& cfg,
+                         obs::MetricsRegistry& registry)
+    : max_resident_bytes_(cfg.max_resident_bytes),
+      inner_threads_(resolved(cfg).inner_threads),
       cache_(cfg.cache_budget_bytes, cfg.cache_shards),
-      submitted_(registry_.counter("serve.submitted")),
-      admitted_(registry_.counter("serve.admitted")),
-      completed_(registry_.counter("serve.completed")),
-      rejected_full_(registry_.counter("serve.rejected_queue_full")),
-      rejected_deadline_(registry_.counter("serve.rejected_deadline")),
-      rejected_missing_(registry_.counter("serve.rejected_archive_missing")),
-      failed_(registry_.counter("serve.failed")),
-      batches_(registry_.counter("serve.batches")),
-      coalesced_(registry_.counter("serve.coalesced")),
-      multi_rhs_(registry_.counter("serve.multi_rhs")),
-      queue_depth_gauge_(registry_.gauge("serve.queue_depth")),
-      queue_peak_gauge_(registry_.gauge("serve.queue_peak_depth")),
-      cache_packed_gauge_(registry_.gauge("serve.cache.packed_bytes")),
-      cache_fp32_gauge_(registry_.gauge("serve.cache.fp32_equiv_bytes")),
-      latency_hist_(registry_.histogram("serve.latency_s")),
-      queue_wait_hist_(registry_.histogram("serve.queue_wait_s")),
-      solve_hist_(registry_.histogram("serve.solve_s")),
-      stage_recorder_(registry_, "serve"),
-      slo_(cfg.slo),
-      queue_(cfg.queue_capacity),
-      exec_(std::max(1, cfg.workers)) {
-  TLRWSE_REQUIRE(cfg_.workers > 0, "service needs at least one worker");
-  TLRWSE_REQUIRE(cfg_.queue_capacity > 0, "queue capacity must be positive");
-  TLRWSE_REQUIRE(cfg_.max_batch > 0, "max batch must be positive");
-  // Mirrored under the queue mutex so the gauges always agree with
-  // depth() at any quiescent point (set()s from snapshots taken outside
-  // the lock can land out of order against a racing pop).
-  queue_.set_depth_observer([this](std::size_t depth, std::size_t peak) {
-    queue_depth_gauge_.set(static_cast<std::int64_t>(depth));
-    queue_peak_gauge_.set(static_cast<std::int64_t>(peak));
-  });
-  if (cfg_.inner_threads <= 0) {
-    cfg_.inner_threads = default_inner_threads(cfg_.workers);
+      cache_packed_gauge_(registry.gauge("serve.cache.packed_bytes")),
+      cache_fp32_gauge_(registry.gauge("serve.cache.fp32_equiv_bytes")) {}
+
+std::unique_ptr<OperatorSource::Lease> LocalSource::acquire(
+    const OperatorKey& key) {
+  OperatorCache::Value resident;
+  try {
+    resident = cache_.get_or_load(key, [&] { return load(key); });
+  } catch (const std::exception& e) {
+    // The archive can vanish between the admission peek and the load.
+    throw SourceError(std::filesystem::exists(key.archive_id)
+                          ? SolveStatus::kError
+                          : SolveStatus::kArchiveMissing,
+                      e.what());
   }
-  worker_futures_.reserve(static_cast<std::size_t>(cfg_.workers));
-  for (int w = 0; w < cfg_.workers; ++w) {
-    worker_futures_.push_back(exec_.submit([this] { worker_loop(); }));
-  }
+  const CacheStats cs = cache_.stats();
+  cache_packed_gauge_.set(static_cast<std::int64_t>(cs.bytes_resident));
+  cache_fp32_gauge_.set(static_cast<std::int64_t>(cs.bytes_resident_fp32));
+  return std::make_unique<LocalLease>(std::move(resident));
 }
 
-SolveService::~SolveService() { shutdown(); }
-
-void SolveService::respond(Ticket& ticket, SolveResponse response) {
-  response.vsrc = ticket.req.vsrc;
-  ticket.done.set_value(std::move(response));
-}
-
-void SolveService::finish(Ticket& ticket, SolveResponse response) {
-  if (response.solve_s > 0.0) stage_recorder_.record(response.stages);
-  slo_.record(response.total_s, response.status == SolveStatus::kOk);
-  slo_.publish(registry_, "serve");
-  if (slo_.breaches_objective(response.total_s) &&
-      !slo_.config().exemplar_dir.empty()) {
-    std::ostringstream os;
-    os << "{\"vsrc\":" << ticket.req.vsrc << ",\"status\":\""
-       << to_string(response.status)
-       << "\",\"queue_wait_s\":" << response.queue_wait_s
-       << ",\"solve_s\":" << response.solve_s
-       << ",\"total_s\":" << response.total_s
-       << ",\"stages\":" << response.stages.to_json() << "}";
-    (void)slo_.persist_exemplar(
-        exemplar_id_.fetch_add(1, std::memory_order_relaxed), os.str());
-  }
-  respond(ticket, std::move(response));
-}
-
-std::future<SolveResponse> SolveService::submit(SolveRequest req) {
-  TLRWSE_TRACE_SPAN("serve.submit", "serve");
-  submitted_.add();
-  Ticket ticket;
-  ticket.req = std::move(req);
-  std::future<SolveResponse> future = ticket.done.get_future();
-
-  // Admission validation: a header peek (a few hundred bytes) catches a
-  // missing/corrupt archive without paying a kernel load; resident or
-  // in-flight operators skip even that.
-  if (!cache_.contains(ticket.req.op)) {
-    try {
-      (void)io::peek_archive(ticket.req.op.archive_id);
-    } catch (const std::exception& e) {
-      rejected_missing_.add();
-      SolveResponse r;
-      r.status = SolveStatus::kArchiveMissing;
-      r.error = e.what();
-      respond(ticket, std::move(r));
-      return future;
-    }
-  }
-
-  ticket.admitted = Clock::now();
-  const auto push = queue_.try_push(ticket.req.op, ticket);
-  if (push.admitted) {
-    admitted_.add();
-    return future;
-  }
-
-  // Backpressure: reject instead of blocking the caller or growing the
-  // queue without bound. A closed service rejects the same way.
-  rejected_full_.add();
-  SolveResponse r;
-  r.status = SolveStatus::kQueueFull;
-  r.error = "admission queue full";
-  respond(ticket, std::move(r));
-  return future;
-}
-
-std::vector<SolveService::Ticket> SolveService::pop_batch(OperatorKey& key) {
-  return queue_.pop_batch(cfg_.max_batch, key);
-}
-
-void SolveService::worker_loop() {
-  for (;;) {
-    OperatorKey key;
-    std::vector<Ticket> batch = pop_batch(key);
-    if (batch.empty()) return;
-    process_batch(key, std::move(batch));
-  }
-}
-
-OperatorCache::Value SolveService::load_resident(const OperatorKey& key) {
+OperatorCache::Value LocalSource::load(const OperatorKey& key) const {
   TLRWSE_TRACE_SPAN("serve.load_operator", "serve");
   auto resident = std::make_shared<ResidentOperator>();
   // Archives over the residency cap are served out-of-core: one extents
@@ -182,16 +96,16 @@ OperatorCache::Value SolveService::load_resident(const OperatorKey& key) {
   // budget, so an over-budget archive is admitted as long as one
   // double-buffer window fits; otherwise the kBudgetTooSmall throw
   // propagates to every waiter as a typed load failure.
-  if (cfg_.max_resident_bytes > 0.0) {
+  if (max_resident_bytes_ > 0.0) {
     const io::ArchiveInfo info = io::peek_archive_extents(key.archive_id);
-    if (info.payload_bytes > cfg_.max_resident_bytes) {
+    if (info.payload_bytes > max_resident_bytes_) {
       oocache::StreamPlanConfig plan_cfg;
-      plan_cfg.budget_bytes = cfg_.max_resident_bytes;
+      plan_cfg.budget_bytes = max_resident_bytes_;
       oocache::StreamPlan plan = oocache::compile_stream_plan(info, plan_cfg);
       auto source =
           std::make_shared<oocache::ArchiveShardSource>(key.archive_id, info);
       oocache::StreamConfig stream_cfg;
-      stream_cfg.budget_bytes = cfg_.max_resident_bytes;
+      stream_cfg.budget_bytes = max_resident_bytes_;
       resident->streamer = std::make_shared<oocache::ShardStreamer>(
           std::move(source), std::move(plan), stream_cfg);
       // Streamed entries are priced at their window budget regardless of
@@ -202,7 +116,7 @@ OperatorCache::Value SolveService::load_resident(const OperatorKey& key) {
       resident->freqs_hz = info.freqs_hz;
       resident->op = std::make_unique<mdc::MdcOperator>(
           info.nt, info.freq_bins, resident->streamer);
-      resident->op->set_inner_threads(cfg_.inner_threads);
+      resident->op->set_inner_threads(inner_threads_);
       return resident;
     }
   }
@@ -214,311 +128,40 @@ OperatorCache::Value SolveService::load_resident(const OperatorKey& key) {
     io::SharedKernelArchive archive =
         io::load_shared_archive(key.archive_id);
     resident->bytes = archive.shared_bytes();
-    for (const auto& b : archive.bands) resident->fp32_bytes += b->fp32_bytes();
+    for (const auto& b : archive.bands) {
+      resident->fp32_bytes += b->fp32_bytes();
+    }
     resident->nt = archive.nt;
     resident->freqs_hz = archive.freqs_hz;
     resident->op = io::make_operator(archive);
-    resident->op->set_inner_threads(cfg_.inner_threads);
-    return resident;
+  } else {
+    io::KernelArchive archive = io::load_archive(key.archive_id);
+    resident->bytes = archive.compressed_bytes();
+    for (const auto& k : archive.kernels) {
+      resident->fp32_bytes += k.fp32_bytes();
+    }
+    resident->nt = archive.nt;
+    resident->freqs_hz = archive.freqs_hz;
+    resident->op = io::make_operator(archive);
   }
-  io::KernelArchive archive = io::load_archive(key.archive_id);
-  resident->bytes = archive.compressed_bytes();
-  for (const auto& k : archive.kernels) resident->fp32_bytes += k.fp32_bytes();
-  resident->nt = archive.nt;
-  resident->freqs_hz = archive.freqs_hz;
-  resident->op = io::make_operator(archive);
   // One worker drives each solve; cap the frequency loop's team so the
   // workers together use the machine instead of oversubscribing it.
-  resident->op->set_inner_threads(cfg_.inner_threads);
+  resident->op->set_inner_threads(inner_threads_);
   return resident;
 }
 
-void SolveService::process_batch(const OperatorKey& key,
-                                 std::vector<Ticket> batch) {
-  TLRWSE_TRACE_SPAN("serve.batch", "serve");
-  batches_.add();
-  if (batch.size() > 1) {
-    coalesced_.add(batch.size());
-  }
+SolveService::SolveService(ServiceConfig cfg)
+    : cfg_(resolved(cfg)),
+      source_(cfg_, registry_),
+      engine_(FrontendConfig{cfg_.workers, cfg_.queue_capacity,
+                             cfg_.max_batch, /*tenant_quota=*/0, cfg_.slo},
+              source_, registry_) {}
 
-  OperatorCache::Value resident;
-  const Clock::time_point load_start = Clock::now();
-  try {
-    resident = cache_.get_or_load(key, [&] { return load_resident(key); });
-  } catch (const std::exception& e) {
-    // The archive can vanish between the admission peek and the load.
-    const bool missing = !std::filesystem::exists(key.archive_id);
-    for (auto& ticket : batch) {
-      (missing ? rejected_missing_ : failed_).add();
-      SolveResponse r;
-      r.status =
-          missing ? SolveStatus::kArchiveMissing : SolveStatus::kError;
-      r.error = e.what();
-      respond(ticket, std::move(r));
-    }
-    return;
-  }
-  // A cache hit makes this ~0; a miss charges the archive load (or stream
-  // plan compile) to every request in the batch that triggered it.
-  const double load_s = seconds_between(load_start, Clock::now());
-  {
-    const CacheStats cs = cache_.stats();
-    cache_packed_gauge_.set(static_cast<std::int64_t>(cs.bytes_resident));
-    cache_fp32_gauge_.set(static_cast<std::int64_t>(cs.bytes_resident_fp32));
-  }
-
-  // Coalesced adjoint requests share one multi-RHS sweep over the resident
-  // operator instead of N independent passes; LSQR tickets (whose iterates
-  // depend on their own residuals) and malformed-rhs tickets solve singly.
-  std::vector<std::size_t> adj;
-  for (std::size_t t = 0; t < batch.size(); ++t) {
-    const SolveRequest& req = batch[t].req;
-    if (req.kind == RequestKind::kAdjoint &&
-        static_cast<index_t>(req.rhs.size()) == resident->op->rows()) {
-      adj.push_back(t);
-    }
-  }
-  if (adj.size() >= 2) {
-    solve_adjoint_group(batch, adj, *resident, batch.size(), load_s);
-    std::size_t next_adj = 0;
-    for (std::size_t t = 0; t < batch.size(); ++t) {
-      if (next_adj < adj.size() && adj[next_adj] == t) {
-        ++next_adj;
-        continue;
-      }
-      solve_ticket(batch[t], *resident, batch.size(), load_s);
-    }
-    return;
-  }
-
-  for (auto& ticket : batch) {
-    solve_ticket(ticket, *resident, batch.size(), load_s);
-  }
-}
-
-void SolveService::solve_adjoint_group(std::vector<Ticket>& batch,
-                                       const std::vector<std::size_t>& adj,
-                                       const ResidentOperator& resident,
-                                       std::size_t batch_size,
-                                       double load_s) {
-  TLRWSE_TRACE_SPAN("serve.adjoint_group", "serve");
-  const Clock::time_point dequeued = Clock::now();
-
-  // Deadline check at dequeue, exactly as solve_ticket does; expired
-  // tickets answer kDeadlineExceeded and drop out of the sweep.
-  std::vector<std::size_t> live;
-  std::vector<double> waits;
-  for (const std::size_t t : adj) {
-    Ticket& ticket = batch[t];
-    const double wait_s = seconds_between(ticket.admitted, dequeued);
-    if (ticket.req.deadline_s > 0.0 && wait_s >= ticket.req.deadline_s) {
-      rejected_deadline_.add();
-      SolveResponse r;
-      r.status = SolveStatus::kDeadlineExceeded;
-      r.batch_size = batch_size;
-      r.queue_wait_s = wait_s;
-      r.total_s = seconds_between(ticket.admitted, Clock::now());
-      respond(ticket, std::move(r));
-      continue;
-    }
-    live.push_back(t);
-    waits.push_back(wait_s);
-  }
-  if (live.empty()) return;
-  if (live.size() == 1) {  // nothing left to share; take the normal path
-    solve_ticket(batch[live.front()], resident, batch_size, load_s);
-    return;
-  }
-
-  const auto nrhs = static_cast<index_t>(live.size());
-  const std::size_t rhs_len = static_cast<std::size_t>(resident.op->rows());
-  const std::size_t out_len = static_cast<std::size_t>(resident.op->cols());
-  std::vector<float> rhs_panel(rhs_len * live.size());
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    const std::vector<float>& rhs = batch[live[k]].req.rhs;
-    std::copy(rhs.begin(), rhs.end(), rhs_panel.begin() + k * rhs_len);
-  }
-
-  const double stall0_s =
-      resident.streamer ? resident.streamer->stats().stall_s : 0.0;
-  std::vector<float> x;
-  try {
-    x = mdd::adjoint_reflectivity_batch(*resident.op, rhs_panel, nrhs);
-  } catch (const std::exception& e) {
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      failed_.add();
-      SolveResponse r;
-      r.status = SolveStatus::kError;
-      r.error = e.what();
-      r.batch_size = batch_size;
-      r.queue_wait_s = waits[k];
-      r.total_s = seconds_between(batch[live[k]].admitted, Clock::now());
-      respond(batch[live[k]], std::move(r));
-    }
-    return;
-  }
-
-  const Clock::time_point done = Clock::now();
-  const double stall_s =
-      resident.streamer
-          ? std::max(0.0, resident.streamer->stats().stall_s - stall0_s)
-          : 0.0;
-  multi_rhs_.add(static_cast<std::uint64_t>(live.size()));
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    Ticket& ticket = batch[live[k]];
-    SolveResponse r;
-    r.batch_size = batch_size;
-    r.queue_wait_s = waits[k];
-    r.x.assign(x.begin() + static_cast<std::ptrdiff_t>(k * out_len),
-               x.begin() + static_cast<std::ptrdiff_t>((k + 1) * out_len));
-    r.solve_s = seconds_between(dequeued, done);
-    r.total_s = seconds_between(ticket.admitted, done);
-    r.stages.queue_wait_s = r.queue_wait_s;
-    r.stages.load_s = load_s;
-    r.stages.stream_stall_s = stall_s;
-    completed_.add();
-    record_latency(r.total_s, r.queue_wait_s, r.solve_s);
-    finish(ticket, std::move(r));
-  }
-}
-
-void SolveService::solve_ticket(Ticket& ticket,
-                                const ResidentOperator& resident,
-                                std::size_t batch_size, double load_s) {
-  TLRWSE_TRACE_SPAN("serve.request", "serve");
-  const Clock::time_point dequeued = Clock::now();
-  SolveResponse r;
-  r.batch_size = batch_size;
-  r.queue_wait_s = seconds_between(ticket.admitted, dequeued);
-  r.stages.queue_wait_s = r.queue_wait_s;
-  r.stages.load_s = load_s;
-
-  const double deadline_s = ticket.req.deadline_s;
-  if (deadline_s > 0.0 && r.queue_wait_s >= deadline_s) {
-    rejected_deadline_.add();
-    r.status = SolveStatus::kDeadlineExceeded;
-    r.total_s = seconds_between(ticket.admitted, Clock::now());
-    finish(ticket, std::move(r));
-    return;
-  }
-
-  const Clock::time_point deadline_at =
-      ticket.admitted + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(deadline_s));
-  // The scope lets a deadline hit cancel between per-frequency MVMs
-  // inside one apply, not only between LSQR iterations; LSQR translates
-  // the resulting CancelledError into a clean kAborted partial iterate.
-  mdc::CancelScope cancel_scope(
-      deadline_s > 0.0
-          ? mdc::CancelScope::Hook([deadline_at] {
-              return Clock::now() >= deadline_at;
-            })
-          : mdc::CancelScope::Hook{});
-  const double stall0_s =
-      resident.streamer ? resident.streamer->stats().stall_s : 0.0;
-  try {
-    if (ticket.req.kind == RequestKind::kAdjoint) {
-      r.x = mdd::adjoint_reflectivity(*resident.op, ticket.req.rhs);
-    } else {
-      mdd::LsqrConfig lsqr = ticket.req.lsqr;
-      if (deadline_s > 0.0) {
-        // Enforce the deadline *during* the solve too: LSQR polls the hook
-        // once per iteration and returns the consistent partial iterate.
-        auto user_stop = lsqr.should_stop;
-        lsqr.should_stop = [user_stop, deadline_at] {
-          if (user_stop && user_stop()) return true;
-          return Clock::now() >= deadline_at;
-        };
-      }
-      const Clock::time_point lsqr_start = Clock::now();
-      mdd::LsqrResult sol = mdd::solve_mdd(*resident.op, ticket.req.rhs, lsqr);
-      r.stages.lsqr_s = seconds_between(lsqr_start, Clock::now());
-      r.stages.lsqr_iterations = sol.iterations;
-      r.x = std::move(sol.x);
-      r.iterations = sol.iterations;
-      r.residual_norm = sol.residual_norm;
-      if (sol.stop == mdd::LsqrResult::Stop::kAborted && deadline_s > 0.0 &&
-          Clock::now() >= deadline_at) {
-        r.status = SolveStatus::kDeadlineExceeded;
-      }
-    }
-  } catch (const mdc::CancelledError&) {
-    // An adjoint pass has no iterate to return partially; the deadline
-    // hook is the only installed cancel source here.
-    rejected_deadline_.add();
-    r.status = SolveStatus::kDeadlineExceeded;
-    r.x.clear();
-    r.total_s = seconds_between(ticket.admitted, Clock::now());
-    finish(ticket, std::move(r));
-    return;
-  } catch (const std::exception& e) {
-    failed_.add();
-    r.status = SolveStatus::kError;
-    r.error = e.what();
-    r.total_s = seconds_between(ticket.admitted, Clock::now());
-    finish(ticket, std::move(r));
-    return;
-  }
-
-  const Clock::time_point done = Clock::now();
-  r.solve_s = seconds_between(dequeued, done);
-  r.total_s = seconds_between(ticket.admitted, done);
-  if (resident.streamer) {
-    // Shared streamer: concurrent solves on the same operator can bleed
-    // stalls into each other's delta; the window is still the right order.
-    r.stages.stream_stall_s =
-        std::max(0.0, resident.streamer->stats().stall_s - stall0_s);
-  }
-  if (r.status == SolveStatus::kOk) {
-    completed_.add();
-    record_latency(r.total_s, r.queue_wait_s, r.solve_s);
-  } else {
-    rejected_deadline_.add();
-  }
-  finish(ticket, std::move(r));
-}
-
-void SolveService::record_latency(double total_s, double wait_s,
-                                  double solve_s) {
-  latency_hist_.record(total_s);
-  queue_wait_hist_.record(wait_s);
-  solve_hist_.record(solve_s);
-  std::lock_guard<std::mutex> lock(latency_mu_);
-  latency_s_.push_back(total_s);
-  queue_wait_s_.push_back(wait_s);
-  solve_s_.push_back(solve_s);
-}
-
-void SolveService::shutdown() {
-  if (shut_down_.exchange(true)) return;
-  queue_.close();
-  for (auto& f : worker_futures_) f.get();
-  worker_futures_.clear();
-  exec_.shutdown();
-}
+SolveService::~SolveService() { shutdown(); }
 
 ServiceMetrics SolveService::metrics() const {
-  // Every counter reads through the registry handle, so a
-  // registry().snapshot() taken at the same quiescent point agrees bitwise.
-  ServiceMetrics m;
-  m.counters.submitted = submitted_.value();
-  m.counters.admitted = admitted_.value();
-  m.counters.completed = completed_.value();
-  m.counters.rejected_queue_full = rejected_full_.value();
-  m.counters.rejected_deadline = rejected_deadline_.value();
-  m.counters.rejected_archive_missing = rejected_missing_.value();
-  m.counters.failed = failed_.value();
-  m.counters.batches = batches_.value();
-  m.counters.coalesced = coalesced_.value();
-  m.counters.queue_depth = queue_.depth();
-  m.counters.queue_peak_depth = queue_.peak_depth();
-  m.cache = cache_.stats();
-  {
-    std::lock_guard<std::mutex> lock(latency_mu_);
-    m.latency = summarize_latencies(latency_s_);
-    m.queue_wait = summarize_latencies(queue_wait_s_);
-    m.solve = summarize_latencies(solve_s_);
-  }
+  ServiceMetrics m = engine_.metrics();
+  m.cache = source_.cache().stats();
   return m;
 }
 
