@@ -39,7 +39,7 @@
 #include "tlrwse/cluster/shard_planner.hpp"
 #include "tlrwse/cluster/transport.hpp"
 #include "tlrwse/cluster/wire.hpp"
-#include "tlrwse/fft/fft.hpp"
+#include "tlrwse/mdc/band_transform.hpp"
 #include "tlrwse/mdc/linear_operator.hpp"
 #include "tlrwse/obs/metrics_registry.hpp"
 #include "tlrwse/obs/slo_tracker.hpp"
@@ -57,10 +57,13 @@ class WorkerFailure : public serve::SourceError {
       : serve::SourceError(serve::SolveStatus::kWorkerFailed, what) {}
 };
 
-/// One connected worker. call_async() hands the frame to a dispatcher
-/// thread (so fan-out to N workers overlaps even though each Channel is
-/// one-call-at-a-time); a TransportError marks the worker dead and fails
-/// everything still queued — callers re-route to replicas.
+/// One connected worker. call_async() queues the frame for a sender
+/// thread, which keeps up to two requests on the connection, and a
+/// receiver thread hands the replies back in request order. Fan-out to N
+/// workers overlaps, and a busy worker finds its next request already
+/// sent when it finishes the current one instead of idling for a round
+/// trip. A TransportError marks the worker dead and fails everything
+/// queued or in flight — callers re-route to replicas.
 class WorkerClient {
  public:
   WorkerClient(std::unique_ptr<Channel> channel, std::string name);
@@ -69,7 +72,7 @@ class WorkerClient {
   WorkerClient& operator=(const WorkerClient&) = delete;
 
   [[nodiscard]] std::future<Frame> call_async(Frame request);
-  /// Convenience synchronous exchange; rethrows the dispatcher's error.
+  /// Convenience synchronous exchange; rethrows the exchange's error.
   [[nodiscard]] Frame call(Frame request);
 
   [[nodiscard]] bool alive() const noexcept {
@@ -77,7 +80,8 @@ class WorkerClient {
   }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// Stops the dispatcher and closes the channel (failing queued calls).
+  /// Finishes the queued exchanges, stops both threads and closes the
+  /// channel (a dead worker's calls have already failed).
   void close();
 
  private:
@@ -86,7 +90,8 @@ class WorkerClient {
     std::promise<Frame> reply;
   };
 
-  void dispatch_loop();
+  void send_loop();
+  void receive_loop();
   void mark_dead(const TransportError& err);
 
   std::unique_ptr<Channel> channel_;
@@ -94,10 +99,13 @@ class WorkerClient {
   std::atomic<bool> dead_{false};
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Pending> pending_;
+  std::deque<Pending> pending_;                  // queued, not yet sent
+  std::deque<std::promise<Frame>> in_flight_;    // sent, in request order
   bool stop_ = false;
+  bool sent_all_ = false;     // the sender has exited
   std::exception_ptr death_;  // the TransportError that killed the worker
-  std::thread dispatcher_;
+  std::thread sender_;
+  std::thread receiver_;
 };
 
 /// Placement of one operator's frequencies onto the fleet.
@@ -117,14 +125,21 @@ struct Placement {
   index_t ns = 0;
   index_t nr = 0;
   bool replicated = false;
+  /// Shards in ascending frequency order; their bins, concatenated, are
+  /// the operator's retained band.
   std::vector<ShardAssignment> shards;
+  /// The band transform over those bins, built once per placement and
+  /// shared by every request on it (null: each operator builds its own).
+  std::shared_ptr<const mdc::BandTransform> transform;
 };
 
-/// The MDC operator y = F^H K F x with the K stage executed remotely:
-/// rFFT locally, gather each shard's per-frequency slices, exchange with a
-/// live replica, scatter the replies into the zero-initialised spectrum
-/// (shards own disjoint bins), inverse rFFT locally. One instance per
-/// request; the placement and fleet are shared.
+/// The MDC operator y = F^H K F x with the K stage executed remotely: the
+/// placement's band transform F runs locally into a frequency-major
+/// spectrum, each shard's bins are one contiguous slice of it (the
+/// ApplyMsg.data layout) exchanged with a live replica, the replies land
+/// back contiguously (shards own disjoint bins and cover the band), and
+/// F^H runs locally. One instance per request; the placement and fleet
+/// are shared.
 class RemoteMdcOperator final : public mdc::LinearOperator {
  public:
   /// Every apply polls the calling thread's mdc::CancelScope and
@@ -178,10 +193,9 @@ class RemoteMdcOperator final : public mdc::LinearOperator {
   std::chrono::steady_clock::time_point deadline_at_;
   std::function<void(std::size_t)> on_worker_death_;
   obs::RequestTrace* rt_ = nullptr;  // not owned; may be null
-  fft::FftPlan plan_;
+  std::shared_ptr<const mdc::BandTransform> transform_;
   mutable std::mutex scratch_mu_;
   mutable std::vector<cf32> in_spec_, out_spec_;
-  mutable fft::BatchWorkspace fft_ws_;
 };
 
 /// The request/response types are the engine's; the cluster names stay

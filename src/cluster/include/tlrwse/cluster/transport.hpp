@@ -1,16 +1,20 @@
 // Frame transports between the frontend and its workers.
 //
 // Channel is the client side: call() sends one frame and blocks for the
-// reply. Two implementations exist with identical semantics:
+// reply; send()/receive() split that exchange so one thread can put the
+// next request on the connection while another waits for the last reply
+// (replies come back in request order). Two implementations exist with
+// identical semantics:
 //
 //  - LocalChannel: in-process, wraps a handler function but still routes
 //    every frame through encode_frame/decode_frame, so tests over it
 //    exercise the exact byte path the sockets carry. kill() makes it
 //    behave like a dead worker (kClosed), which is how the failure tests
 //    simulate a crash deterministically.
-//  - SocketChannel: a connected Unix or TCP stream socket, one in-flight
-//    call at a time (the frontend's WorkerClient serializes through its
-//    own dispatcher, so this is not a throughput limit).
+//  - SocketChannel: a connected Unix or TCP stream socket. send() and
+//    receive() run concurrently on the two directions of the stream, so
+//    a worker finds its next request already written when it finishes
+//    the current one.
 //
 // SocketServer is the worker side: accepts connections and feeds each
 // frame to the handler, writing the handler's reply back. A handler
@@ -19,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -45,17 +50,28 @@ class TransportError : public std::runtime_error {
   Kind kind_;
 };
 
-/// One request/reply exchange with a worker. Implementations are safe to
-/// call from one thread at a time; the frontend's per-worker dispatcher
-/// provides that serialization.
+/// Request/reply exchanges with a worker. call() is safe from one thread
+/// at a time; send() and receive() from one sending and one receiving
+/// thread (the frontend's WorkerClient), not mixed with call().
 class Channel {
  public:
   virtual ~Channel() = default;
   /// Sends `request` and blocks for the peer's reply frame. Throws
   /// TransportError if the connection dies or times out mid-call.
   virtual Frame call(const Frame& request) = 0;
-  /// Best-effort close; subsequent call() throws kClosed.
+  /// Puts `request` on the connection without waiting for its reply.
+  /// The default holds it for receive().
+  virtual void send(const Frame& request);
+  /// Blocks for the reply to the oldest request sent and not yet
+  /// received. The default runs call() on the held request, so a channel
+  /// that overrides neither exchanges one frame at a time.
+  virtual Frame receive();
+  /// Best-effort close; subsequent exchanges throw kClosed.
   virtual void close() = 0;
+
+ private:
+  std::mutex held_mu_;
+  std::deque<Frame> held_;  // sent, not yet exchanged (default send/receive)
 };
 
 using FrameHandler = std::function<Frame(const Frame&)>;
@@ -78,9 +94,11 @@ class LocalChannel final : public Channel {
   std::atomic<bool> dead_{false};
 };
 
-/// Blocking stream-socket channel (Unix domain or TCP). One in-flight
-/// call; reads poll with `timeout_ms` so a hung peer surfaces as kTimeout
-/// instead of a wedged frontend.
+/// Blocking stream-socket channel (Unix domain or TCP). Reads poll with
+/// `timeout_ms` so a hung peer surfaces as kTimeout instead of a wedged
+/// frontend. Any transport failure shuts the socket down in both
+/// directions: the stream position is unknown, and a thread blocked on
+/// the other direction wakes with kClosed instead of reading a stale reply.
 class SocketChannel final : public Channel {
  public:
   ~SocketChannel() override;
@@ -92,6 +110,8 @@ class SocketChannel final : public Channel {
                                                     int timeout_ms = 30000);
 
   Frame call(const Frame& request) override;
+  void send(const Frame& request) override;
+  Frame receive() override;
   void close() override;
 
  private:
@@ -100,10 +120,15 @@ class SocketChannel final : public Channel {
   void write_all(const std::uint8_t* data, std::size_t n);
   /// Reads until `buf_` holds a whole frame or the poll deadline passes.
   Frame read_frame();
+  /// Marks the channel closed and shuts the socket down both ways.
+  void poison() noexcept;
 
-  std::mutex mu_;
-  int fd_ = -1;
-  int timeout_ms_;
+  std::mutex call_mu_;  // one call() at a time
+  std::mutex send_mu_;  // one writer
+  std::mutex recv_mu_;  // one reader; guards buf_
+  const int fd_;
+  const int timeout_ms_;
+  std::atomic<bool> closed_{false};
   std::vector<std::uint8_t> buf_;
 };
 

@@ -63,10 +63,19 @@ LoadShardOkMsg parse_load_reply(const Frame& reply) {
 
 // --- WorkerClient ---------------------------------------------------------
 
+namespace {
+
+/// Requests a WorkerClient keeps on its connection: the one the worker is
+/// computing and the next, so the worker never waits for a round trip.
+constexpr std::size_t kMaxInFlight = 2;
+
+}  // namespace
+
 WorkerClient::WorkerClient(std::unique_ptr<Channel> channel, std::string name)
     : channel_(std::move(channel)), name_(std::move(name)) {
   TLRWSE_REQUIRE(channel_ != nullptr, "WorkerClient: null channel");
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  sender_ = std::thread([this] { send_loop(); });
+  receiver_ = std::thread([this] { receive_loop(); });
 }
 
 WorkerClient::~WorkerClient() { close(); }
@@ -87,7 +96,7 @@ std::future<Frame> WorkerClient::call_async(Frame request) {
     }
     pending_.push_back(std::move(p));
   }
-  cv_.notify_one();
+  cv_.notify_all();
   return fut;
 }
 
@@ -95,39 +104,100 @@ Frame WorkerClient::call(Frame request) {
   return call_async(std::move(request)).get();
 }
 
-void WorkerClient::dispatch_loop() {
+void WorkerClient::send_loop() {
   for (;;) {
     Pending p;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
-      if (pending_.empty()) return;  // stop with nothing left to drain
+      // Queued work is still sent after stop_ (close() drains it); only a
+      // death ends the loop with requests left.
+      cv_.wait(lock, [&] {
+        return death_ || (pending_.empty() ? stop_
+                                           : in_flight_.size() < kMaxInFlight);
+      });
+      if (death_ || pending_.empty()) {
+        sent_all_ = true;
+        break;
+      }
       p = std::move(pending_.front());
       pending_.pop_front();
     }
     try {
-      p.reply.set_value(channel_->call(p.request));
+      channel_->send(p.request);
     } catch (const TransportError& e) {
       p.reply.set_exception(std::current_exception());
       mark_dead(e);
       return;
     } catch (...) {
       p.reply.set_exception(std::current_exception());
+      continue;
+    }
+    std::exception_ptr died;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (death_) {
+        died = death_;
+      } else {
+        in_flight_.push_back(std::move(p.reply));
+      }
+    }
+    if (died) p.reply.set_exception(died);
+    cv_.notify_all();
+  }
+  cv_.notify_all();
+}
+
+void WorkerClient::receive_loop() {
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return death_ || !in_flight_.empty() || sent_all_; });
+      if (death_ || in_flight_.empty()) return;
+    }
+    Frame reply;
+    std::exception_ptr error;
+    try {
+      reply = channel_->receive();
+    } catch (const TransportError& e) {
+      mark_dead(e);
+      return;
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::promise<Frame> p;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (in_flight_.empty()) return;  // mark_dead failed it meanwhile
+      p = std::move(in_flight_.front());
+      in_flight_.pop_front();
+    }
+    cv_.notify_all();  // a slot on the connection is free
+    if (error) {
+      p.set_exception(error);
+    } else {
+      p.set_value(std::move(reply));
     }
   }
 }
 
 void WorkerClient::mark_dead(const TransportError& err) {
   std::deque<Pending> drain;
+  std::deque<std::promise<Frame>> flying;
+  std::exception_ptr death;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!death_) death_ = std::make_exception_ptr(err);
+    death = death_;
     stop_ = true;
     drain.swap(pending_);
+    flying.swap(in_flight_);
   }
   dead_.store(true, std::memory_order_release);
   cv_.notify_all();
-  for (auto& p : drain) p.reply.set_exception(death_);
+  // Wakes the thread blocked on the other direction of the connection.
+  channel_->close();
+  for (auto& p : drain) p.reply.set_exception(death);
+  for (auto& p : flying) p.set_exception(death);
 }
 
 void WorkerClient::close() {
@@ -136,22 +206,42 @@ void WorkerClient::close() {
     stop_ = true;
   }
   cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  if (sender_.joinable()) sender_.join();
+  if (receiver_.joinable()) receiver_.join();
   std::deque<Pending> drain;
+  std::deque<std::promise<Frame>> flying;
+  std::exception_ptr death;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!death_) {
       death_ = std::make_exception_ptr(TransportError(
           TransportError::Kind::kClosed, "worker " + name_ + " is closed"));
     }
+    death = death_;
     drain.swap(pending_);
+    flying.swap(in_flight_);
   }
   dead_.store(true, std::memory_order_release);
-  for (auto& p : drain) p.reply.set_exception(death_);
+  for (auto& p : drain) p.reply.set_exception(death);
+  for (auto& p : flying) p.set_exception(death);
   if (channel_) channel_->close();
 }
 
 // --- RemoteMdcOperator ----------------------------------------------------
+
+namespace {
+
+/// The band transform of a placement: its shards' bins in shard order.
+std::shared_ptr<const mdc::BandTransform> make_band_transform(
+    const Placement& placement) {
+  std::vector<index_t> bins;
+  for (const ShardAssignment& shard : placement.shards) {
+    bins.insert(bins.end(), shard.freq_bins.begin(), shard.freq_bins.end());
+  }
+  return std::make_shared<const mdc::BandTransform>(placement.nt, bins);
+}
+
+}  // namespace
 
 RemoteMdcOperator::RemoteMdcOperator(
     std::span<const std::unique_ptr<WorkerClient>> fleet,
@@ -163,12 +253,19 @@ RemoteMdcOperator::RemoteMdcOperator(
       request_id_(request_id),
       deadline_at_(deadline_at),
       on_worker_death_(std::move(on_worker_death)),
-      rt_(rt),
-      plan_(placement_ != nullptr && placement_->nt >= 1 ? placement_->nt
-                                                         : 1) {
+      rt_(rt) {
   TLRWSE_REQUIRE(placement_ != nullptr, "RemoteMdcOperator: null placement");
   TLRWSE_REQUIRE(!placement_->shards.empty(),
                  "RemoteMdcOperator: empty placement");
+  transform_ = placement_->transform != nullptr
+                   ? placement_->transform
+                   : make_band_transform(*placement_);
+  index_t nbins = 0;
+  for (const ShardAssignment& shard : placement_->shards) {
+    nbins += static_cast<index_t>(shard.freq_bins.size());
+  }
+  TLRWSE_REQUIRE(transform_->num_bins() == nbins,
+                 "RemoteMdcOperator: transform does not match the shards");
   if (rt_ != nullptr) rt_->clock_samples.resize(fleet_.size());
 }
 
@@ -254,8 +351,8 @@ ApplyOkMsg RemoteMdcOperator::exchange(const ShardAssignment& shard,
 void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
                             index_t nrhs, bool adjoint) const {
   const Placement& pl = *placement_;
+  const mdc::BandTransform& band = *transform_;
   const index_t nt = pl.nt;
-  const index_t nf_full = nt / 2 + 1;
   const index_t in_traces = adjoint ? pl.ns : pl.nr;
   const index_t out_traces = adjoint ? pl.nr : pl.ns;
   TLRWSE_REQUIRE(nrhs >= 1, "RemoteMdcOperator: nrhs");
@@ -269,24 +366,16 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
   // sequentially); the instance-level scratch mirrors MdcOperator's
   // per-thread PageScratch.
   std::lock_guard<std::mutex> lock(scratch_mu_);
-  const index_t in_page = nf_full * in_traces;
-  const index_t out_page = nf_full * out_traces;
+  const index_t nin = in_traces * nrhs;    // one frequency's input panel
+  const index_t nout = out_traces * nrhs;  // one frequency's output panel
 
   const bool sampled = rt_ != nullptr && rt_->ctx.sampled;
   const std::uint64_t run_span = sampled ? rt_->new_span_id() : 0;
   const std::uint64_t run_start = rt_ != nullptr ? obs::steady_now_ns() : 0;
 
-  // F: local rFFT per RHS — identical to MdcOperator's forward stage.
-  in_spec_.resize(static_cast<std::size_t>(in_page * nrhs));
-  for (index_t r = 0; r < nrhs; ++r) {
-    fft::rfft_batch(plan_,
-                    in.subspan(static_cast<std::size_t>(r * nt * in_traces),
-                               static_cast<std::size_t>(nt * in_traces)),
-                    in_traces,
-                    std::span<cf32>(in_spec_.data() + r * in_page,
-                                    static_cast<std::size_t>(in_page)),
-                    fft_ws_);
-  }
+  // F: the same band transform as MdcOperator's forward stage.
+  in_spec_.resize(static_cast<std::size_t>(band.num_bins() * nin));
+  band.forward(in, nin, std::span<cf32>(in_spec_), /*threads=*/0);
   std::uint64_t mark = 0;
   if (rt_ != nullptr) {
     mark = obs::steady_now_ns();
@@ -297,15 +386,15 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
     }
   }
 
-  // K (remote): gather each shard's per-frequency panels and fan out. The
-  // gather formulas match MdcOperator's kernel loop exactly, so workers
-  // see the same bytes a local FreqScratch would.
+  // K (remote): each shard's bins are one contiguous [q][rhs][trace] slice
+  // of the spectrum, so workers see the same bytes a local kernel would.
   const std::size_t nshards = pl.shards.size();
   std::vector<ApplyMsg> msgs(nshards);
+  std::vector<index_t> q_offset(nshards, 0);
   /// Per-shard RPC span ids; the worker parents its apply span under the
   /// shard's RPC span, so the merged timeline nests correctly.
   std::vector<std::uint64_t> rpc_spans(nshards, 0);
-  const std::span<const cf32> spec(in_spec_);
+  index_t q0 = 0;
   for (std::size_t s = 0; s < nshards; ++s) {
     const ShardAssignment& shard = pl.shards[s];
     ApplyMsg& msg = msgs[s];
@@ -320,18 +409,10 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
       msg.trace.parent_span_id = rpc_spans[s];
       msg.trace.sampled = true;
     }
-    const auto nq = static_cast<index_t>(shard.freq_bins.size());
-    msg.data.resize(static_cast<std::size_t>(nq * nrhs * in_traces));
-    for (index_t q = 0; q < nq; ++q) {
-      const index_t bin = shard.freq_bins[static_cast<std::size_t>(q)];
-      for (index_t r = 0; r < nrhs; ++r) {
-        cf32* dst = msg.data.data() + (q * nrhs + r) * in_traces;
-        for (index_t t = 0; t < in_traces; ++t) {
-          dst[t] = spec[static_cast<std::size_t>(r * in_page + t * nf_full +
-                                                 bin)];
-        }
-      }
-    }
+    q_offset[s] = q0;
+    q0 += static_cast<index_t>(shard.freq_bins.size());
+    msg.data.assign(in_spec_.begin() + q_offset[s] * nin,
+                    in_spec_.begin() + q0 * nin);
   }
   if (rt_ != nullptr) {
     const std::uint64_t now = obs::steady_now_ns();
@@ -343,7 +424,7 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
     mark = now;
   }
 
-  // Dispatch every shard's exchange concurrently (each worker's dispatcher
+  // Dispatch every shard's exchange concurrently (each worker's sender
   // runs its call), then collect with per-shard replica retry.
   struct InFlight {
     std::future<Frame> fut;
@@ -364,8 +445,9 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
     }
   }
 
-  out_spec_.assign(static_cast<std::size_t>(out_page * nrhs), cf32{});
-  const std::span<cf32> out_span(out_spec_);
+  // Shards own disjoint bins and together cover the band, so every bin
+  // of the output spectrum is written by exactly one reply.
+  out_spec_.resize(static_cast<std::size_t>(band.num_bins() * nout));
   double scatter_s = 0.0;
   // Fan-out accounting: the longest shard's worker compute, and the wall
   // clock of the last reply with the scatter work done before it.
@@ -404,24 +486,14 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
     }
 
     const auto nq = static_cast<index_t>(shard.freq_bins.size());
-    if (static_cast<index_t>(ok.data.size()) != nq * nrhs * out_traces) {
+    if (static_cast<index_t>(ok.data.size()) != nq * nout) {
       throw WorkerFailure("shard " + std::to_string(shard.shard_id) +
                           " returned a malformed apply result");
     }
-    // Scatter into the zero-initialised spectrum; shards own disjoint
-    // bins, so writes never overlap.
     const std::uint64_t scatter_start =
         rt_ != nullptr ? obs::steady_now_ns() : 0;
-    for (index_t q = 0; q < nq; ++q) {
-      const index_t bin = shard.freq_bins[static_cast<std::size_t>(q)];
-      for (index_t r = 0; r < nrhs; ++r) {
-        const cf32* src = ok.data.data() + (q * nrhs + r) * out_traces;
-        for (index_t t = 0; t < out_traces; ++t) {
-          out_span[static_cast<std::size_t>(r * out_page + t * nf_full +
-                                            bin)] = src[t];
-        }
-      }
-    }
+    std::copy(ok.data.begin(), ok.data.end(),
+              out_spec_.begin() + q_offset[s] * nout);
     if (rt_ != nullptr) {
       scatter_s +=
           1e-9 * static_cast<double>(obs::steady_now_ns() - scatter_start);
@@ -441,17 +513,9 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
     rt_->stages.gather_scatter_s += scatter_s;
   }
 
-  // F^H: local inverse rFFT per RHS.
+  // F^H: the local inverse band transform.
   const std::uint64_t ifft_start = rt_ != nullptr ? obs::steady_now_ns() : 0;
-  for (index_t r = 0; r < nrhs; ++r) {
-    fft::irfft_batch(plan_,
-                     std::span<const cf32>(out_spec_.data() + r * out_page,
-                                           static_cast<std::size_t>(out_page)),
-                     out_traces,
-                     out.subspan(static_cast<std::size_t>(r * nt * out_traces),
-                                 static_cast<std::size_t>(nt * out_traces)),
-                     fft_ws_);
-  }
+  band.inverse(std::span<const cf32>(out_spec_), nout, out, /*threads=*/0);
   if (rt_ != nullptr) {
     const std::uint64_t now = obs::steady_now_ns();
     rt_->stages.fft_s += 1e-9 * static_cast<double>(now - ifft_start);
@@ -638,6 +702,7 @@ std::shared_ptr<const Placement> RemoteSource::build_placement(
       }
       if (lost_worker) continue;  // a shard has no owner; replan over the living
     }
+    placement->transform = make_band_transform(*placement);
     placements_.add();
     return placement;
   }

@@ -20,6 +20,17 @@ namespace {
   throw TransportError(kind, what + ": " + std::strerror(errno));
 }
 
+/// Socket send buffer: room for a whole apply frame (a few hundred KB at
+/// survey sizes), so a pipelined request sits complete on the socket while
+/// the worker computes and a reply is written without waiting for the
+/// reader. The kernel caps it at net.core.wmem_max.
+constexpr int kSendBufferBytes = 1 << 20;
+
+void size_send_buffer(int fd) {
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kSendBufferBytes,
+               sizeof(kSendBufferBytes));
+}
+
 void close_fd(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -28,6 +39,27 @@ void close_fd(int& fd) {
 }
 
 }  // namespace
+
+// --- Channel --------------------------------------------------------------
+
+void Channel::send(const Frame& request) {
+  std::lock_guard<std::mutex> lock(held_mu_);
+  held_.push_back(request);
+}
+
+Frame Channel::receive() {
+  Frame request;
+  {
+    std::lock_guard<std::mutex> lock(held_mu_);
+    if (held_.empty()) {
+      throw TransportError(TransportError::Kind::kProtocol,
+                           "channel: receive without a sent request");
+    }
+    request = std::move(held_.front());
+    held_.pop_front();
+  }
+  return call(request);
+}
 
 // --- LocalChannel ---------------------------------------------------------
 
@@ -70,7 +102,14 @@ void LocalChannel::close() { kill(); }
 SocketChannel::SocketChannel(int fd, int timeout_ms)
     : fd_(fd), timeout_ms_(timeout_ms) {}
 
-SocketChannel::~SocketChannel() { close(); }
+SocketChannel::~SocketChannel() {
+  poison();
+  ::close(fd_);
+}
+
+void SocketChannel::poison() noexcept {
+  if (!closed_.exchange(true)) ::shutdown(fd_, SHUT_RDWR);
+}
 
 std::unique_ptr<SocketChannel> SocketChannel::connect_unix(
     const std::string& path, int timeout_ms) {
@@ -91,6 +130,7 @@ std::unique_ptr<SocketChannel> SocketChannel::connect_unix(
     errno = err;
     throw_errno(TransportError::Kind::kClosed, "connect(" + path + ")");
   }
+  size_send_buffer(fd);
   return std::unique_ptr<SocketChannel>(new SocketChannel(fd, timeout_ms));
 }
 
@@ -115,6 +155,7 @@ std::unique_ptr<SocketChannel> SocketChannel::connect_tcp(
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  size_send_buffer(fd);
   return std::unique_ptr<SocketChannel>(new SocketChannel(fd, timeout_ms));
 }
 
@@ -169,27 +210,43 @@ Frame SocketChannel::read_frame() {
 }
 
 Frame SocketChannel::call(const Frame& request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) {
+  std::lock_guard<std::mutex> lock(call_mu_);
+  send(request);
+  return receive();
+}
+
+void SocketChannel::send(const Frame& request) {
+  const std::vector<std::uint8_t> bytes = encode_frame(request);
+  std::lock_guard<std::mutex> lock(send_mu_);
+  if (closed_.load()) {
     throw TransportError(TransportError::Kind::kClosed,
                          "transport: channel closed");
   }
   try {
-    const std::vector<std::uint8_t> bytes = encode_frame(request);
     write_all(bytes.data(), bytes.size());
-    return read_frame();
   } catch (const TransportError&) {
-    // Stream state is unknown after a failure; poison the channel so the
-    // caller re-routes to a replica instead of reading a stale reply.
-    close_fd(fd_);
+    poison();
     throw;
   }
 }
 
-void SocketChannel::close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  close_fd(fd_);
+Frame SocketChannel::receive() {
+  std::lock_guard<std::mutex> lock(recv_mu_);
+  if (closed_.load()) {
+    throw TransportError(TransportError::Kind::kClosed,
+                         "transport: channel closed");
+  }
+  try {
+    return read_frame();
+  } catch (const TransportError&) {
+    // Stream state is unknown after a failure; poison the channel so the
+    // caller re-routes to a replica instead of reading a stale reply.
+    poison();
+    throw;
+  }
 }
+
+void SocketChannel::close() { poison(); }
 
 // --- SocketServer ---------------------------------------------------------
 
@@ -265,6 +322,7 @@ void SocketServer::accept_loop() {
       ::close(conn);
       return;
     }
+    size_send_buffer(conn);
     std::lock_guard<std::mutex> lock(conns_mu_);
     conn_fds_.push_back(conn);
     conn_threads_.emplace_back([this, conn] { serve_connection(conn); });
@@ -330,9 +388,11 @@ void SocketServer::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // shutdown() wakes the accept thread; the descriptor is closed only
+  // after it has exited, since that thread still reads listen_fd_.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  close_fd(listen_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
+  close_fd(listen_fd_);
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);

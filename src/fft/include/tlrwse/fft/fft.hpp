@@ -2,10 +2,10 @@
 // Bluestein chirp-z algorithm for arbitrary sizes, plus real-signal helpers
 // and batched transforms along the time axis of seismic gathers.
 //
-// These implement the F / F^H operators of the MDC equation
-// y = F^H K F x (Eqn. 2 of the paper): forward FFT moves time-domain
-// wavefields into the frequency domain where the per-frequency kernel
-// matrices act; the inverse returns to time.
+// This is the general, full-spectrum double-precision FFT used by the
+// synthetic-survey modelling (src/seismic) and as the reference in tests
+// and benches. The MDC operator's own F / F^H (Eqn. 2) touch only the
+// retained band and run as a float32 GEMM in mdc::BandTransform.
 #pragma once
 
 #include <complex>
@@ -59,31 +59,15 @@ class FftPlan {
 /// non-negative-frequency coefficients (Hermitian symmetry is implied).
 [[nodiscard]] std::vector<double> irfft(std::span<const cf64> spec, index_t nt);
 
-/// Reusable per-thread scratch of the batched transforms. Sized on first
-/// use; later calls with the same plan are allocation-free (for
-/// power-of-two lengths, where the in-place kernel needs no extra buffer).
-struct BatchWorkspace {
-  std::vector<std::vector<cf64>> trace_buf;  // one nt-length buffer per thread
-};
-
 /// Batched forward rfft along the first axis of a (nt x ntraces) page stored
 /// column-major: each trace (column) is transformed independently. Output is
-/// (nf x ntraces) with nf = nt/2 + 1. OpenMP-parallel across traces.
+/// (nf x ntraces) with nf = nt/2 + 1. OpenMP-parallel across traces with
+/// the runtime's default team.
 void rfft_batch(std::span<const float> time_page, index_t nt, index_t ntraces,
                 std::span<cf32> freq_page);
 
 /// Batched inverse of rfft_batch.
 void irfft_batch(std::span<const cf32> freq_page, index_t nt, index_t ntraces,
                  std::span<float> time_page);
-
-/// Plan-carrying variants for callers that apply the same transform every
-/// iteration (the MDC operator inside LSQR): the plan's twiddle tables and
-/// the workspace buffers are built once and reused.
-void rfft_batch(const FftPlan& plan, std::span<const float> time_page,
-                index_t ntraces, std::span<cf32> freq_page,
-                BatchWorkspace& ws);
-void irfft_batch(const FftPlan& plan, std::span<const cf32> freq_page,
-                 index_t ntraces, std::span<float> time_page,
-                 BatchWorkspace& ws);
 
 }  // namespace tlrwse::fft

@@ -4,10 +4,6 @@
 #include <cmath>
 #include <numbers>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "tlrwse/common/error.hpp"
 #include "tlrwse/common/tsan.hpp"
 
@@ -189,80 +185,50 @@ std::vector<double> irfft(std::span<const cf64> spec, index_t nt) {
   return out;
 }
 
-namespace {
-
-/// Ensures one nt-length cf64 buffer per OpenMP thread, sized serially so
-/// the parallel region itself stays allocation-free once warm.
-void prepare_batch_workspace(BatchWorkspace& ws, index_t nt) {
-  std::size_t threads = 1;
-#ifdef _OPENMP
-  threads = static_cast<std::size_t>(std::max(omp_get_max_threads(), 1));
-#endif
-  if (ws.trace_buf.size() < threads) ws.trace_buf.resize(threads);
-  for (auto& buf : ws.trace_buf) {
-    if (buf.size() < static_cast<std::size_t>(nt)) {
-      buf.resize(static_cast<std::size_t>(nt));
-    }
-  }
-}
-
-std::vector<cf64>& thread_trace_buf(BatchWorkspace& ws) {
-  std::size_t i = 0;
-#ifdef _OPENMP
-  i = static_cast<std::size_t>(omp_get_thread_num());
-#endif
-  return ws.trace_buf[i < ws.trace_buf.size() ? i : 0];
-}
-
-}  // namespace
-
-void rfft_batch(const FftPlan& plan, std::span<const float> time_page,
-                index_t ntraces, std::span<cf32> freq_page,
-                BatchWorkspace& ws) {
-  const index_t nt = plan.size();
+void rfft_batch(std::span<const float> time_page, index_t nt, index_t ntraces,
+                std::span<cf32> freq_page) {
+  const FftPlan plan(nt);
   const index_t nf = nt / 2 + 1;
   TLRWSE_REQUIRE(static_cast<index_t>(time_page.size()) == nt * ntraces,
                  "rfft_batch: input size");
   TLRWSE_REQUIRE(static_cast<index_t>(freq_page.size()) == nf * ntraces,
                  "rfft_batch: output size");
-  prepare_batch_workspace(ws, nt);
-  TLRWSE_TSAN_RELEASE(&ws);
+  TLRWSE_TSAN_RELEASE(freq_page.data());
 #pragma omp parallel
   {
-    TLRWSE_TSAN_ACQUIRE(&ws);
-    std::vector<cf64>& buf = thread_trace_buf(ws);
+    TLRWSE_TSAN_ACQUIRE(freq_page.data());
+    std::vector<cf64> buf(static_cast<std::size_t>(nt));
 #pragma omp for schedule(static)
     for (index_t tr = 0; tr < ntraces; ++tr) {
       const float* in = time_page.data() + tr * nt;
       for (index_t t = 0; t < nt; ++t) {
-        buf[static_cast<std::size_t>(t)] = cf64{static_cast<double>(in[t]), 0.0};
+        buf[static_cast<std::size_t>(t)] =
+            cf64{static_cast<double>(in[t]), 0.0};
       }
-      plan.forward(std::span<cf64>(buf.data(), static_cast<std::size_t>(nt)));
+      plan.forward(std::span<cf64>(buf));
       cf32* out = freq_page.data() + tr * nf;
       for (index_t k = 0; k < nf; ++k) {
         out[k] = static_cast<cf32>(buf[static_cast<std::size_t>(k)]);
       }
     }
-    TLRWSE_TSAN_RELEASE(&ws);
+    TLRWSE_TSAN_RELEASE(freq_page.data());
   }
-  TLRWSE_TSAN_ACQUIRE(&ws);
+  TLRWSE_TSAN_ACQUIRE(freq_page.data());
 }
 
-void irfft_batch(const FftPlan& plan, std::span<const cf32> freq_page,
-                 index_t ntraces, std::span<float> time_page,
-                 BatchWorkspace& ws) {
-  const index_t nt = plan.size();
+void irfft_batch(std::span<const cf32> freq_page, index_t nt, index_t ntraces,
+                 std::span<float> time_page) {
+  const FftPlan plan(nt);
   const index_t nf = nt / 2 + 1;
   TLRWSE_REQUIRE(static_cast<index_t>(freq_page.size()) == nf * ntraces,
                  "irfft_batch: input size");
   TLRWSE_REQUIRE(static_cast<index_t>(time_page.size()) == nt * ntraces,
                  "irfft_batch: output size");
-  prepare_batch_workspace(ws, nt);
-  TLRWSE_TSAN_RELEASE(&ws);
+  TLRWSE_TSAN_RELEASE(time_page.data());
 #pragma omp parallel
   {
-    TLRWSE_TSAN_ACQUIRE(&ws);
-    std::vector<cf64>& buf = thread_trace_buf(ws);
+    TLRWSE_TSAN_ACQUIRE(time_page.data());
+    std::vector<cf64> buf(static_cast<std::size_t>(nt));
 #pragma omp for schedule(static)
     for (index_t tr = 0; tr < ntraces; ++tr) {
       const cf32* in = freq_page.data() + tr * nf;
@@ -273,29 +239,15 @@ void irfft_batch(const FftPlan& plan, std::span<const cf32> freq_page,
         buf[static_cast<std::size_t>(k)] =
             std::conj(static_cast<cf64>(in[nt - k]));
       }
-      plan.inverse(std::span<cf64>(buf.data(), static_cast<std::size_t>(nt)));
+      plan.inverse(std::span<cf64>(buf));
       float* out = time_page.data() + tr * nt;
       for (index_t t = 0; t < nt; ++t) {
         out[t] = static_cast<float>(buf[static_cast<std::size_t>(t)].real());
       }
     }
-    TLRWSE_TSAN_RELEASE(&ws);
+    TLRWSE_TSAN_RELEASE(time_page.data());
   }
-  TLRWSE_TSAN_ACQUIRE(&ws);
-}
-
-void rfft_batch(std::span<const float> time_page, index_t nt, index_t ntraces,
-                std::span<cf32> freq_page) {
-  const FftPlan plan(nt);
-  BatchWorkspace ws;
-  rfft_batch(plan, time_page, ntraces, freq_page, ws);
-}
-
-void irfft_batch(std::span<const cf32> freq_page, index_t nt, index_t ntraces,
-                 std::span<float> time_page) {
-  const FftPlan plan(nt);
-  BatchWorkspace ws;
-  irfft_batch(plan, freq_page, ntraces, time_page, ws);
+  TLRWSE_TSAN_ACQUIRE(time_page.data());
 }
 
 }  // namespace tlrwse::fft

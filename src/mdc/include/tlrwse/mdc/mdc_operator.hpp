@@ -1,26 +1,32 @@
 // The Multi-Dimensional Convolution operator y = F^H K F x (Eqn. 2).
 //
 // x is a time-domain wavefield over receivers (nt x nR, column-major per
-// trace), y over sources (nt x nS). Forward: batched rFFT along time, one
-// kernel MVM per retained frequency, Hermitian-symmetric inverse rFFT.
-// The adjoint runs the same pipeline with K^H: with the scaling conventions
-// of rfft/irfft (forward unnormalised, inverse 1/nt, band excluding DC and
-// Nyquist, Hermitian doubling in irfft) the composition irfft . K^H . rfft
-// is the EXACT real adjoint of irfft . K . rfft — the (2/nt) factors of the
-// two directions cancel identically, so the dot test holds to round-off.
+// trace), y over sources (nt x nS). Forward: the band-limited transform F
+// (mdc::BandTransform) takes every receiver trace to the retained bins,
+// one kernel MVM runs per retained frequency, and F^H returns the source
+// side to time. The adjoint runs the same pipeline with K^H.
 //
-// The per-frequency kernel MVMs are independent (each frequency owns its
-// own rFFT bin), so the kernel loop runs OpenMP-parallel with one
-// FrequencyWorkspace + gather/scatter scratch per thread, and all page and
-// FFT buffers are pooled: after a warm-up apply, repeated applies — the
-// steady state of an LSQR/CGLS solve — perform no heap allocation.
+// Scaling and the exact adjoint: F is the unnormalised band DFT, a real
+// matrix C over (re, im) rows; F^H is (2/nt) C^T, the rfft/irfft pair
+// restricted to bins strictly between DC and Nyquist (the factor 2 is
+// irfft's Hermitian doubling, 1/nt its normalisation). Both directions
+// are built from the same float32 table C, so the adjoint C^T K^H (2/nt) C
+// is the transpose of (2/nt) C^T K C and the dot test holds to round-off.
+//
+// F writes the spectrum frequency-major ([q][rhs][trace]), so each kernel
+// reads and writes its x_q / y_q panel in place. The per-frequency kernel
+// MVMs are independent, so the kernel loop runs OpenMP-parallel with one
+// FrequencyWorkspace per thread; the transform splits traces over a team
+// of the same size. Spectra and workspaces are pooled: after a warm-up
+// apply, repeated applies — the steady state of an LSQR/CGLS solve —
+// perform no heap allocation.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "tlrwse/common/workspace_pool.hpp"
-#include "tlrwse/fft/fft.hpp"
+#include "tlrwse/mdc/band_transform.hpp"
 #include "tlrwse/mdc/frequency_mvm.hpp"
 #include "tlrwse/mdc/kernel_stream.hpp"
 #include "tlrwse/mdc/linear_operator.hpp"
@@ -60,48 +66,46 @@ class MdcOperator final : public LinearOperator {
 
   /// Batched forms: X holds nrhs wavefields back to back (cols() floats
   /// each for apply, rows() for the adjoint), Y the matching outputs.
-  /// FFTs run per RHS, but each frequency kernel sees all RHS as one
-  /// multi-RHS panel — one sweep over the operator data instead of nrhs —
-  /// which is where coalesced serve requests gain their throughput. Every
-  /// RHS column is bitwise identical to the corresponding single apply.
+  /// Each frequency kernel sees all RHS as one multi-RHS panel — one sweep
+  /// over the operator data instead of nrhs — which is where coalesced
+  /// serve requests gain their throughput. Every RHS column is bitwise
+  /// identical to the corresponding single apply.
   void apply_batch(std::span<const float> X, std::span<float> Y,
                    index_t nrhs) const;
   void apply_adjoint_batch(std::span<const float> Y, std::span<float> X,
                            index_t nrhs) const override;
 
-  /// Caps the OpenMP team size of the frequency loop (0 = runtime default).
-  /// Concurrent top-level applies from distinct OS threads each spawn their
-  /// own team; a multi-tenant caller (the solve service) divides the
-  /// machine between request workers with this instead of oversubscribing
-  /// workers x omp_get_max_threads() ways. Thread count never changes the
-  /// results (each frequency owns its bin), only the schedule.
+  /// Caps the OpenMP team size of the frequency loop and the transform
+  /// (0 = runtime default). Concurrent top-level applies from distinct OS
+  /// threads each spawn their own team; a multi-tenant caller (the solve
+  /// service) divides the machine between request workers with this
+  /// instead of oversubscribing workers x omp_get_max_threads() ways.
+  /// Thread count never changes the results (each frequency owns its bin,
+  /// each trace its GEMM column), only the schedule.
   void set_inner_threads(int n) noexcept { inner_threads_ = n < 0 ? 0 : n; }
   [[nodiscard]] int inner_threads() const noexcept { return inner_threads_; }
 
  private:
-  /// Per-thread scratch of the frequency loop: the gathered per-frequency
-  /// input/output slices plus the kernel backend's workspace.
-  struct FreqScratch {
-    std::vector<cf32> xk;  // receiver-side slice at one frequency
-    std::vector<cf32> yk;  // source-side slice at one frequency
-    FrequencyWorkspace kernel;
-  };
-  /// Per-call scratch of one apply/apply_adjoint: the full spectral pages
-  /// and the batched-FFT buffers. Pooled per calling thread so concurrent
+  /// Per-call spectra of one apply: the receiver-side and source-side
+  /// bins, frequency-major. Pooled per calling thread so concurrent
   /// top-level applies of one operator stay independent.
   struct PageScratch {
-    std::vector<cf32> xhat;  // receiver-side spectrum, nf_full x nr
-    std::vector<cf32> yhat;  // source-side spectrum, nf_full x ns
-    fft::BatchWorkspace fft;
+    std::vector<cf32> xhat;  // nq x nrhs x nr
+    std::vector<cf32> yhat;  // nq x nrhs x ns
   };
 
-  /// The kernel loop shared by the four apply forms: one ascending sweep
-  /// over the stream's shards, each shard an OpenMP region over its
-  /// frequencies with `per_freq(q, kernel, scratch)` doing the
-  /// direction-specific gather/MVM/scatter. Polls the calling scope's
+  /// The pipeline behind the four apply forms: F over `in`, the kernel
+  /// sweep (K or K^H; the multi-RHS kernel call when nrhs > 1), F^H into
+  /// `out`.
+  void run(std::span<const float> in, std::span<float> out, index_t nrhs,
+           bool adjoint) const;
+
+  /// The kernel loop: one ascending sweep over the stream's shards, each
+  /// shard an OpenMP region over its frequencies with
+  /// `per_freq(q, kernel, ws)` doing the MVM. Polls the calling scope's
   /// cancel hook between MVMs and between shards; throws CancelledError
   /// on cancellation and rethrows the stream's typed error on a failed
-  /// acquire. Defined in the .cpp (only apply* instantiates it).
+  /// acquire. Defined in the .cpp (only run instantiates it).
   template <typename PerFreq>
   void kernel_sweep(PageScratch& ps, const PerFreq& per_freq) const;
 
@@ -110,10 +114,9 @@ class MdcOperator final : public LinearOperator {
   index_t nr_ = 0;  // kernel cols (receivers)
   index_t nq_ = 0;  // retained frequencies
   int inner_threads_ = 0;  // 0 = OpenMP runtime default team size
-  std::vector<index_t> freq_bins_;
+  BandTransform transform_;
   std::shared_ptr<KernelStream> stream_;
-  fft::FftPlan plan_;  // time-axis plan, shared by every apply
-  WorkspacePool<FreqScratch> freq_scratch_;
+  WorkspacePool<FrequencyWorkspace> freq_scratch_;
   WorkspacePool<PageScratch> page_scratch_;
 };
 

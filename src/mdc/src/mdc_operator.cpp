@@ -1,11 +1,6 @@
 #include "tlrwse/mdc/mdc_operator.hpp"
 
-#include <algorithm>
 #include <atomic>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "tlrwse/common/error.hpp"
 #include "tlrwse/common/timer.hpp"
@@ -17,17 +12,6 @@
 namespace tlrwse::mdc {
 
 namespace {
-/// Team size for the frequency loop: the caller's cap, or the runtime
-/// default when uncapped.
-inline int freq_team_size(int cap) {
-#ifdef _OPENMP
-  return cap > 0 ? cap : omp_get_max_threads();
-#else
-  (void)cap;
-  return 1;
-#endif
-}
-
 /// Registry handles for the always-on apply metrics; the per-frequency
 /// histogram is recorded only while a trace is being captured, so the
 /// steady-state cost per apply is three timer pairs and a few sharded adds.
@@ -79,15 +63,11 @@ MdcOperator::MdcOperator(index_t nt, std::vector<index_t> freq_bins,
 MdcOperator::MdcOperator(index_t nt, std::vector<index_t> freq_bins,
                          std::shared_ptr<KernelStream> stream)
     : nt_(nt),
-      freq_bins_(std::move(freq_bins)),
-      stream_(std::move(stream)),
-      plan_(nt >= 1 ? nt : 1) {
-  TLRWSE_REQUIRE(nt_ >= 4, "nt too small");
+      nq_(static_cast<index_t>(freq_bins.size())),
+      transform_(nt, freq_bins),
+      stream_(std::move(stream)) {
   TLRWSE_REQUIRE(stream_ != nullptr, "null kernel stream");
-  nq_ = stream_->num_freqs();
-  TLRWSE_REQUIRE(nq_ >= 1, "need at least one frequency kernel");
-  TLRWSE_REQUIRE(static_cast<index_t>(freq_bins_.size()) == nq_,
-                 "bins/kernels count mismatch");
+  TLRWSE_REQUIRE(stream_->num_freqs() == nq_, "bins/kernels count mismatch");
   ns_ = stream_->rows();
   nr_ = stream_->cols();
   TLRWSE_REQUIRE(ns_ > 0 && nr_ > 0, "kernel stream with empty dimensions");
@@ -104,22 +84,12 @@ MdcOperator::MdcOperator(index_t nt, std::vector<index_t> freq_bins,
   }
   TLRWSE_REQUIRE(expect == nq_, "kernel stream shards do not cover all ", nq_,
                  " frequencies");
-  for (index_t q = 0; q < nq_; ++q) {
-    const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-    TLRWSE_REQUIRE(bin > 0 && bin < nt_ / 2,
-                   "frequency bin must exclude DC and Nyquist, got ", bin);
-  }
-  std::vector<index_t> sorted(freq_bins_);
-  std::sort(sorted.begin(), sorted.end());
-  TLRWSE_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) ==
-                     sorted.end(),
-                 "frequency bins must be distinct");
 }
 
 template <typename PerFreq>
 void MdcOperator::kernel_sweep([[maybe_unused]] PageScratch& ps,
                                const PerFreq& per_freq) const {
-  [[maybe_unused]] const int team = freq_team_size(inner_threads_);
+  [[maybe_unused]] const int team = team_size(inner_threads_);
   // Captured once: the hook lives on the calling thread, but every team
   // member polls it between MVMs so a deadline hit stops the whole batch.
   const CancelScope::Hook* const cancel = CancelScope::current();
@@ -152,8 +122,8 @@ void MdcOperator::kernel_sweep([[maybe_unused]] PageScratch& ps,
             continue;
           }
         }
-        FreqScratch& fs = freq_scratch_.local();
-        per_freq(q, *kernels[static_cast<std::size_t>(q - q_begin)], fs);
+        per_freq(q, *kernels[static_cast<std::size_t>(q - q_begin)],
+                 freq_scratch_.local());
       }
       TLRWSE_TSAN_RELEASE(&ps);
     }
@@ -164,48 +134,55 @@ void MdcOperator::kernel_sweep([[maybe_unused]] PageScratch& ps,
   if (cancelled.load(std::memory_order_relaxed)) throw CancelledError();
 }
 
-void MdcOperator::apply(std::span<const float> x, std::span<float> y) const {
-  TLRWSE_TRACE_SPAN("mdc.apply", "mdc");
+void MdcOperator::run(std::span<const float> in, std::span<float> out,
+                      index_t nrhs, bool adjoint) const {
   ApplyMetrics& met = ApplyMetrics::instance();
-  met.applies.add();
   WallTimer apply_timer;
-  TLRWSE_REQUIRE(static_cast<index_t>(x.size()) == cols(), "x size");
-  TLRWSE_REQUIRE(static_cast<index_t>(y.size()) == rows(), "y size");
-  const index_t nf_full = nt_ / 2 + 1;
+  const index_t in_traces = adjoint ? ns_ : nr_;
+  const index_t out_traces = adjoint ? nr_ : ns_;
+  TLRWSE_REQUIRE(nrhs >= 1, "nrhs");
+  TLRWSE_REQUIRE(static_cast<index_t>(in.size()) == nt_ * in_traces * nrhs,
+                 "input size");
+  TLRWSE_REQUIRE(static_cast<index_t>(out.size()) == nt_ * out_traces * nrhs,
+                 "output size");
+  const index_t nin = in_traces * nrhs;    // one frequency's input panel
+  const index_t nout = out_traces * nrhs;  // one frequency's output panel
   PageScratch& ps = page_scratch_.local();
+  std::vector<cf32>& in_hat = adjoint ? ps.yhat : ps.xhat;
+  std::vector<cf32>& out_hat = adjoint ? ps.xhat : ps.yhat;
+  in_hat.resize(static_cast<std::size_t>(nq_ * nin));
+  out_hat.resize(static_cast<std::size_t>(nq_ * nout));
 
-  // F: batched rFFT over receiver traces.
-  ps.xhat.resize(static_cast<std::size_t>(nf_full * nr_));
+  // F: every input trace of every RHS to the retained bins, [q][rhs][trace].
   {
     TLRWSE_TRACE_SPAN("mdc.fft_forward", "mdc");
     WallTimer fft_timer;
-    fft::rfft_batch(plan_, x, nr_, std::span<cf32>(ps.xhat), ps.fft);
+    transform_.forward(in, nin, std::span<cf32>(in_hat), inner_threads_);
     met.fft_s.record(fft_timer.seconds());
   }
 
-  // K: per-frequency kernel MVMs into the source-side spectrum. Each
-  // frequency reads and writes only its own bin's strided slice, so the
-  // loop parallelises with no shared state beyond per-thread scratch.
-  ps.yhat.assign(static_cast<std::size_t>(nf_full * ns_), cf32{});
+  // K: per-frequency kernel MVMs on the in-place panels. Each frequency
+  // reads and writes only its own bins, so the loop parallelises with no
+  // shared state beyond per-thread workspaces.
   {
-    const std::span<const cf32> xhat(ps.xhat);
-    const std::span<cf32> yhat(ps.yhat);
+    const std::span<const cf32> xs(in_hat);
+    const std::span<cf32> ys(out_hat);
     TLRWSE_TRACE_SPAN("mdc.kernel_loop", "mdc");
     WallTimer kernel_timer;
     const bool trace_freqs = obs::Tracer::detail_enabled();
-    kernel_sweep(ps, [&](index_t q, FrequencyMvm& kernel, FreqScratch& fs) {
+    kernel_sweep(ps, [&](index_t q, FrequencyMvm& kernel,
+                         FrequencyWorkspace& ws) {
       const std::uint64_t t0 = trace_freqs ? obs::Tracer::now_ns() : 0;
-      fs.xk.resize(static_cast<std::size_t>(nr_));
-      fs.yk.resize(static_cast<std::size_t>(ns_));
-      const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-      for (index_t r = 0; r < nr_; ++r) {
-        fs.xk[static_cast<std::size_t>(r)] =
-            xhat[static_cast<std::size_t>(r * nf_full + bin)];
-      }
-      kernel.apply(fs.xk, fs.yk, fs.kernel);
-      for (index_t s = 0; s < ns_; ++s) {
-        yhat[static_cast<std::size_t>(s * nf_full + bin)] =
-            fs.yk[static_cast<std::size_t>(s)];
+      const auto x_q = xs.subspan(static_cast<std::size_t>(q * nin),
+                                  static_cast<std::size_t>(nin));
+      const auto y_q = ys.subspan(static_cast<std::size_t>(q * nout),
+                                  static_cast<std::size_t>(nout));
+      if (nrhs == 1) {
+        adjoint ? kernel.apply_adjoint(x_q, y_q, ws)
+                : kernel.apply(x_q, y_q, ws);
+      } else {
+        adjoint ? kernel.apply_adjoint_batch(x_q, y_q, nrhs, ws)
+                : kernel.apply_batch(x_q, y_q, nrhs, ws);
       }
       if (trace_freqs) {
         const std::uint64_t dur = obs::Tracer::now_ns() - t0;
@@ -216,224 +193,43 @@ void MdcOperator::apply(std::span<const float> x, std::span<float> y) const {
     met.kernel_loop_s.record(kernel_timer.seconds());
   }
 
-  // F^H: Hermitian inverse rFFT back to time.
+  // F^H: the retained bins back to time.
   {
     TLRWSE_TRACE_SPAN("mdc.fft_inverse", "mdc");
     WallTimer fft_timer;
-    fft::irfft_batch(plan_, std::span<const cf32>(ps.yhat), ns_, y, ps.fft);
+    transform_.inverse(std::span<const cf32>(out_hat), nout, out,
+                       inner_threads_);
     met.fft_s.record(fft_timer.seconds());
   }
   met.apply_s.record(apply_timer.seconds());
+}
+
+void MdcOperator::apply(std::span<const float> x, std::span<float> y) const {
+  TLRWSE_TRACE_SPAN("mdc.apply", "mdc");
+  ApplyMetrics::instance().applies.add();
+  run(x, y, 1, /*adjoint=*/false);
 }
 
 void MdcOperator::apply_adjoint(std::span<const float> y,
                                 std::span<float> x) const {
   TLRWSE_TRACE_SPAN("mdc.apply_adjoint", "mdc");
-  ApplyMetrics& met = ApplyMetrics::instance();
-  met.adjoints.add();
-  WallTimer apply_timer;
-  TLRWSE_REQUIRE(static_cast<index_t>(y.size()) == rows(), "y size");
-  TLRWSE_REQUIRE(static_cast<index_t>(x.size()) == cols(), "x size");
-  const index_t nf_full = nt_ / 2 + 1;
-  PageScratch& ps = page_scratch_.local();
-
-  ps.yhat.resize(static_cast<std::size_t>(nf_full * ns_));
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_forward", "mdc");
-    WallTimer fft_timer;
-    fft::rfft_batch(plan_, y, ns_, std::span<cf32>(ps.yhat), ps.fft);
-    met.fft_s.record(fft_timer.seconds());
-  }
-
-  ps.xhat.assign(static_cast<std::size_t>(nf_full * nr_), cf32{});
-  {
-    const std::span<const cf32> yhat(ps.yhat);
-    const std::span<cf32> xhat(ps.xhat);
-    TLRWSE_TRACE_SPAN("mdc.kernel_loop", "mdc");
-    WallTimer kernel_timer;
-    const bool trace_freqs = obs::Tracer::detail_enabled();
-    kernel_sweep(ps, [&](index_t q, FrequencyMvm& kernel, FreqScratch& fs) {
-      const std::uint64_t t0 = trace_freqs ? obs::Tracer::now_ns() : 0;
-      fs.xk.resize(static_cast<std::size_t>(nr_));
-      fs.yk.resize(static_cast<std::size_t>(ns_));
-      const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-      for (index_t s = 0; s < ns_; ++s) {
-        fs.yk[static_cast<std::size_t>(s)] =
-            yhat[static_cast<std::size_t>(s * nf_full + bin)];
-      }
-      kernel.apply_adjoint(fs.yk, fs.xk, fs.kernel);
-      for (index_t r = 0; r < nr_; ++r) {
-        xhat[static_cast<std::size_t>(r * nf_full + bin)] =
-            fs.xk[static_cast<std::size_t>(r)];
-      }
-      if (trace_freqs) {
-        const std::uint64_t dur = obs::Tracer::now_ns() - t0;
-        obs::Tracer::instance().complete("mdc.freq_mvm", "mdc", t0, dur);
-        met.freq_mvm_s.record(static_cast<double>(dur) * 1e-9);
-      }
-    });
-    met.kernel_loop_s.record(kernel_timer.seconds());
-  }
-
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_inverse", "mdc");
-    WallTimer fft_timer;
-    fft::irfft_batch(plan_, std::span<const cf32>(ps.xhat), nr_, x, ps.fft);
-    met.fft_s.record(fft_timer.seconds());
-  }
-  met.apply_s.record(apply_timer.seconds());
+  ApplyMetrics::instance().adjoints.add();
+  run(y, x, 1, /*adjoint=*/true);
 }
 
 void MdcOperator::apply_batch(std::span<const float> X, std::span<float> Y,
                               index_t nrhs) const {
   TLRWSE_TRACE_SPAN("mdc.apply_batch", "mdc");
-  ApplyMetrics& met = ApplyMetrics::instance();
-  met.applies.add(static_cast<std::uint64_t>(nrhs));
-  WallTimer apply_timer;
-  TLRWSE_REQUIRE(nrhs >= 1, "nrhs");
-  TLRWSE_REQUIRE(static_cast<index_t>(X.size()) == cols() * nrhs, "X size");
-  TLRWSE_REQUIRE(static_cast<index_t>(Y.size()) == rows() * nrhs, "Y size");
-  const index_t nf_full = nt_ / 2 + 1;
-  const index_t xpage = nf_full * nr_;
-  const index_t ypage = nf_full * ns_;
-  PageScratch& ps = page_scratch_.local();
-
-  ps.xhat.resize(static_cast<std::size_t>(xpage * nrhs));
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_forward", "mdc");
-    WallTimer fft_timer;
-    for (index_t r = 0; r < nrhs; ++r) {
-      fft::rfft_batch(plan_,
-                      X.subspan(static_cast<std::size_t>(r * cols()),
-                                static_cast<std::size_t>(cols())),
-                      nr_,
-                      std::span<cf32>(ps.xhat.data() + r * xpage,
-                                      static_cast<std::size_t>(xpage)),
-                      ps.fft);
-    }
-    met.fft_s.record(fft_timer.seconds());
-  }
-
-  // Per frequency: gather an nr x nrhs panel, one multi-RHS kernel call,
-  // scatter back. Same bin-exclusive access pattern as apply(), so the
-  // loop parallelises identically.
-  ps.yhat.assign(static_cast<std::size_t>(ypage * nrhs), cf32{});
-  {
-    const std::span<const cf32> xhat(ps.xhat);
-    const std::span<cf32> yhat(ps.yhat);
-    TLRWSE_TRACE_SPAN("mdc.kernel_loop", "mdc");
-    WallTimer kernel_timer;
-    kernel_sweep(ps, [&](index_t q, FrequencyMvm& kernel, FreqScratch& fs) {
-      fs.xk.resize(static_cast<std::size_t>(nr_ * nrhs));
-      fs.yk.resize(static_cast<std::size_t>(ns_ * nrhs));
-      const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-      for (index_t r = 0; r < nrhs; ++r) {
-        for (index_t rec = 0; rec < nr_; ++rec) {
-          fs.xk[static_cast<std::size_t>(r * nr_ + rec)] =
-              xhat[static_cast<std::size_t>(r * xpage + rec * nf_full + bin)];
-        }
-      }
-      kernel.apply_batch(fs.xk, fs.yk, nrhs, fs.kernel);
-      for (index_t r = 0; r < nrhs; ++r) {
-        for (index_t s = 0; s < ns_; ++s) {
-          yhat[static_cast<std::size_t>(r * ypage + s * nf_full + bin)] =
-              fs.yk[static_cast<std::size_t>(r * ns_ + s)];
-        }
-      }
-    });
-    met.kernel_loop_s.record(kernel_timer.seconds());
-  }
-
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_inverse", "mdc");
-    WallTimer fft_timer;
-    for (index_t r = 0; r < nrhs; ++r) {
-      fft::irfft_batch(plan_,
-                       std::span<const cf32>(ps.yhat.data() + r * ypage,
-                                             static_cast<std::size_t>(ypage)),
-                       ns_,
-                       Y.subspan(static_cast<std::size_t>(r * rows()),
-                                 static_cast<std::size_t>(rows())),
-                       ps.fft);
-    }
-    met.fft_s.record(fft_timer.seconds());
-  }
-  met.apply_s.record(apply_timer.seconds());
+  ApplyMetrics::instance().applies.add(static_cast<std::uint64_t>(nrhs));
+  run(X, Y, nrhs, /*adjoint=*/false);
 }
 
 void MdcOperator::apply_adjoint_batch(std::span<const float> Y,
                                       std::span<float> X,
                                       index_t nrhs) const {
   TLRWSE_TRACE_SPAN("mdc.apply_adjoint_batch", "mdc");
-  ApplyMetrics& met = ApplyMetrics::instance();
-  met.adjoints.add(static_cast<std::uint64_t>(nrhs));
-  WallTimer apply_timer;
-  TLRWSE_REQUIRE(nrhs >= 1, "nrhs");
-  TLRWSE_REQUIRE(static_cast<index_t>(Y.size()) == rows() * nrhs, "Y size");
-  TLRWSE_REQUIRE(static_cast<index_t>(X.size()) == cols() * nrhs, "X size");
-  const index_t nf_full = nt_ / 2 + 1;
-  const index_t xpage = nf_full * nr_;
-  const index_t ypage = nf_full * ns_;
-  PageScratch& ps = page_scratch_.local();
-
-  ps.yhat.resize(static_cast<std::size_t>(ypage * nrhs));
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_forward", "mdc");
-    WallTimer fft_timer;
-    for (index_t r = 0; r < nrhs; ++r) {
-      fft::rfft_batch(plan_,
-                      Y.subspan(static_cast<std::size_t>(r * rows()),
-                                static_cast<std::size_t>(rows())),
-                      ns_,
-                      std::span<cf32>(ps.yhat.data() + r * ypage,
-                                      static_cast<std::size_t>(ypage)),
-                      ps.fft);
-    }
-    met.fft_s.record(fft_timer.seconds());
-  }
-
-  ps.xhat.assign(static_cast<std::size_t>(xpage * nrhs), cf32{});
-  {
-    const std::span<const cf32> yhat(ps.yhat);
-    const std::span<cf32> xhat(ps.xhat);
-    TLRWSE_TRACE_SPAN("mdc.kernel_loop", "mdc");
-    WallTimer kernel_timer;
-    kernel_sweep(ps, [&](index_t q, FrequencyMvm& kernel, FreqScratch& fs) {
-      fs.xk.resize(static_cast<std::size_t>(nr_ * nrhs));
-      fs.yk.resize(static_cast<std::size_t>(ns_ * nrhs));
-      const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-      for (index_t r = 0; r < nrhs; ++r) {
-        for (index_t s = 0; s < ns_; ++s) {
-          fs.yk[static_cast<std::size_t>(r * ns_ + s)] =
-              yhat[static_cast<std::size_t>(r * ypage + s * nf_full + bin)];
-        }
-      }
-      kernel.apply_adjoint_batch(fs.yk, fs.xk, nrhs, fs.kernel);
-      for (index_t r = 0; r < nrhs; ++r) {
-        for (index_t rec = 0; rec < nr_; ++rec) {
-          xhat[static_cast<std::size_t>(r * xpage + rec * nf_full + bin)] =
-              fs.xk[static_cast<std::size_t>(r * nr_ + rec)];
-        }
-      }
-    });
-    met.kernel_loop_s.record(kernel_timer.seconds());
-  }
-
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_inverse", "mdc");
-    WallTimer fft_timer;
-    for (index_t r = 0; r < nrhs; ++r) {
-      fft::irfft_batch(plan_,
-                       std::span<const cf32>(ps.xhat.data() + r * xpage,
-                                             static_cast<std::size_t>(xpage)),
-                       nr_,
-                       X.subspan(static_cast<std::size_t>(r * cols()),
-                                 static_cast<std::size_t>(cols())),
-                       ps.fft);
-    }
-    met.fft_s.record(fft_timer.seconds());
-  }
-  met.apply_s.record(apply_timer.seconds());
+  ApplyMetrics::instance().adjoints.add(static_cast<std::uint64_t>(nrhs));
+  run(Y, X, nrhs, /*adjoint=*/true);
 }
 
 }  // namespace tlrwse::mdc

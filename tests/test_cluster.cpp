@@ -1,11 +1,15 @@
 // Tests for the distributed serving tier: wire-protocol framing (round
 // trips, truncation, garbage rejection), the shard planner's placement
-// properties, and — over the in-process LocalTransport, which round-trips
+// properties, the worker client's pipelined exchanges over a real unix
+// socket (reply order, typed failure when the peer dies with requests in
+// flight), and — over the in-process LocalTransport, which round-trips
 // every frame through the real encode/decode path — the bitwise identity
 // of cluster solves with the single-process operator for dense, TLR, and
 // shared-basis kernels, plus the typed failure semantics (worker death,
 // quotas, deadlines, cancellation).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -14,6 +18,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -283,6 +288,100 @@ TEST(LocalChannel, KillFailsCallsTyped) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind(), TransportError::Kind::kClosed);
   }
+}
+
+/// A unix socket path unique to this process, removed on destruction.
+struct SocketPath {
+  explicit SocketPath(const std::string& name)
+      : path((std::filesystem::temp_directory_path() /
+              (std::to_string(::getpid()) + "." + name + ".sock"))
+                 .string()) {}
+  ~SocketPath() {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+  }
+  std::string path;
+};
+
+Frame cancel_frame(std::uint64_t id) {
+  CancelMsg msg;
+  msg.request_id = id;
+  return msg.to_frame();
+}
+
+TEST(SocketChannel, PipelinedCallsReturnInRequestOrder) {
+  // The worker client keeps a second request on the connection while the
+  // first is served; replies must still match their requests one to one.
+  const SocketPath sock("pipeline");
+  auto server = SocketServer::listen_unix(sock.path, [](const Frame& f) {
+    CancelOkMsg ok;
+    ok.request_id = CancelMsg::from_frame(f).request_id;
+    return ok.to_frame();
+  });
+  WorkerClient client(SocketChannel::connect_unix(sock.path), "w0");
+  std::vector<std::future<Frame>> replies;
+  for (std::uint64_t id = 1; id <= 32; ++id) {
+    replies.push_back(client.call_async(cancel_frame(id)));
+  }
+  for (std::uint64_t id = 1; id <= 32; ++id) {
+    EXPECT_EQ(CancelOkMsg::from_frame(replies[id - 1].get()).request_id, id);
+  }
+  EXPECT_TRUE(client.alive());
+  client.close();
+  server->stop();
+}
+
+TEST(SocketChannel, PeerDeathFailsEveryQueuedAndInFlightCallTyped) {
+  // A peer that answers the first request and hangs up while the second
+  // is on the wire: the first reply arrives, every later call fails with a
+  // TransportError and the worker is marked dead.
+  const SocketPath sock("peer-death");
+  const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, sock.path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  std::thread peer([lfd] {
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    if (fd < 0) return;
+    std::vector<std::uint8_t> buf;
+    std::uint8_t chunk[4096];
+    int frames = 0;
+    while (frames < 2) {
+      Frame f;
+      const std::size_t used = decode_frame(buf, f);
+      if (used == 0) {
+        const ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (r <= 0) break;
+        buf.insert(buf.end(), chunk, chunk + r);
+        continue;
+      }
+      buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(used));
+      if (++frames == 1) {
+        CancelOkMsg ok;
+        ok.request_id = CancelMsg::from_frame(f).request_id;
+        const std::vector<std::uint8_t> bytes = encode_frame(ok.to_frame());
+        (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      }
+    }
+    ::close(fd);  // dies with the second request unanswered
+  });
+  WorkerClient client(SocketChannel::connect_unix(sock.path), "w0");
+  std::vector<std::future<Frame>> replies;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    replies.push_back(client.call_async(cancel_frame(id)));
+  }
+  EXPECT_EQ(CancelOkMsg::from_frame(replies[0].get()).request_id, 1u);
+  for (std::size_t i = 1; i < replies.size(); ++i) {
+    EXPECT_THROW((void)replies[i].get(), TransportError) << "call " << i + 1;
+  }
+  EXPECT_FALSE(client.alive());
+  EXPECT_THROW((void)client.call(cancel_frame(5)), TransportError);
+  peer.join();
+  ::close(lfd);
 }
 
 // -------------------------------------------------------------- worker --

@@ -37,7 +37,7 @@ if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
   fi
 fi
 
-TESTS=(test_mdc_parallel test_tlr_mvm test_shared_basis test_serve test_cluster test_frontend test_oocache test_obs test_common)
+TESTS=(test_mdc_parallel test_band_transform test_tlr_mvm test_shared_basis test_serve test_cluster test_frontend test_oocache test_obs test_common)
 
 cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
