@@ -3,7 +3,7 @@
 // Builds a small synthetic survey, archives it as TLRA, then measures
 // apply+adjoint pairs per second at four budget points: fully resident
 // (io::make_operator, the reference), 1/2 payload, 1/4 payload, and the
-// minimum feasible budget (one double-buffer window). Each streamed point
+// minimum feasible budget (the plan's window). Each streamed point
 // runs twice — background prefetch on, then the synchronous no-prefetch
 // path — so the row carries both the cost of streaming relative to
 // resident and the overlap won back by the prefetcher. Every streamed
@@ -13,8 +13,12 @@
 //   ./bench_oocache [pairs] [--check]
 //
 // --check enforces the out-of-core acceptance bars: every row bitwise
-// identical to resident, and at the 1/4-payload point the prefetching
-// stream sustains >=70% of resident applies/s. The throughput bar needs
+// identical to resident; at the 1/2-payload point the streams read no more
+// than the plan's schedule allows (the whole payload on the first sweep,
+// only the unpinned ring on every later one, plus — for the prefetching
+// stream — the ring shards it may already hold for the next sweep); and
+// at the 1/4-payload point the prefetching stream sustains >=70% of
+// resident applies/s. The throughput bar needs
 // the prefetch thread to actually overlap, so it is only enforced when
 // hardware_concurrency() >= 2; below that it prints an informational
 // skip instead.
@@ -65,6 +69,10 @@ struct BudgetPoint {
   double bytes_streamed_mb = 0.0;
   double stall_s = 0.0;
   bool bitwise = true;
+  // Not printed: the streaming-volume bar of --check, in bytes.
+  double sync_bytes_streamed = 0.0;  // synchronous run
+  double schedule_bytes = 0.0;       // payload + (sweeps - 1) * ring
+  double lookahead_bytes = 0.0;      // ring room the prefetcher may fill
 };
 
 // The applies ride the multi-RHS panel path: one sweep over the operator
@@ -72,6 +80,10 @@ struct BudgetPoint {
 // its I/O — the amortization a real inversion (many virtual sources per
 // sweep) gets for free.
 constexpr index_t kNrhs = 8;
+
+/// Sweeps one measure_applies_per_sec call runs: the warm-up pair plus
+/// `pairs` timed pairs, one sweep per batched apply or adjoint.
+int sweeps_per_measure(int pairs) { return 2 * (pairs + 1); }
 
 /// Timed batched apply+adjoint pairs; each RHS in each direction counts
 /// as one apply.
@@ -194,6 +206,11 @@ int main(int argc, char** argv) {
     p.loads = st.loads;
     p.evictions = st.evictions;
     p.bytes_streamed_mb = st.bytes_streamed / kMiB;
+    const oocache::StreamPlan& plan = streamed.streamer->plan();
+    const double ring = plan.total_bytes() - plan.pinned_bytes();
+    p.schedule_bytes = plan.total_bytes() +
+                       (sweeps_per_measure(pairs) - 1) * ring;
+    p.lookahead_bytes = streamed.streamer->budget_bytes() - plan.pinned_bytes();
     p.stall_s = st.stall_s;
     p.pct_of_resident = resident.applies_per_sec > 0.0
                             ? 100.0 * p.applies_per_sec /
@@ -205,6 +222,7 @@ int main(int argc, char** argv) {
     sync.op->set_inner_threads(1);
     p.no_prefetch_applies_per_sec =
         measure_applies_per_sec(*sync.op, pairs, x, y, xt);
+    p.sync_bytes_streamed = sync.streamer->stats().bytes_streamed;
     p.bitwise = p.bitwise && bitwise_equal(y, ref_y) && bitwise_equal(xt, ref_xt);
     p.prefetch_speedup = p.no_prefetch_applies_per_sec > 0.0
                              ? p.applies_per_sec / p.no_prefetch_applies_per_sec
@@ -226,6 +244,21 @@ int main(int argc, char** argv) {
     }
     if (!(p.applies_per_sec > 0.0) || !std::isfinite(p.applies_per_sec)) {
       std::cerr << "oocache: non-finite throughput at " << p.name << "\n";
+      rc = 1;
+    }
+  }
+  for (const auto& p : points) {
+    if (p.name != "half") continue;
+    // One byte of slack absorbs the rounding of summed per-shard doubles
+    // (the MiB scaling is a power of two, so it is exact).
+    const double prefetch_bytes = p.bytes_streamed_mb * kMiB;
+    if (p.sync_bytes_streamed > p.schedule_bytes + 1.0 ||
+        prefetch_bytes > p.schedule_bytes + p.lookahead_bytes + 1.0) {
+      std::cerr << "oocache: half-budget streams read "
+                << p.sync_bytes_streamed << " (sync) and " << prefetch_bytes
+                << " (prefetch) bytes, above the schedule's "
+                << p.schedule_bytes << " (+" << p.lookahead_bytes
+                << " lookahead)\n";
       rc = 1;
     }
   }

@@ -1,19 +1,19 @@
-// ShardStreamer: the double-buffered prefetcher behind a streamed
-// MdcOperator.
+// ShardStreamer: the prefetching stream behind a streamed MdcOperator.
 //
-// A background thread walks the StreamPlan ahead of the consumer, loading
-// upcoming shards disk->RAM while the consumer's OpenMP team computes the
-// current one, so the per-frequency FFT->MVM->IFFT work overlaps storage
-// I/O. Eviction is plan-driven: among the resident, unpinned shards, drop
-// the one whose next use (in the known cyclic order) is farthest away —
-// Belady's rule, exact because LSQR's sweep order is known. When a caller
-// declares the order unknown, eviction falls back to LRU. All failure
-// modes are typed and prompt: a truncated or deleted archive surfaces as
-// StreamError(kIo) on the next acquire (from either the prefetch thread or
-// a synchronous load), a budget that cannot hold one double-buffer window
-// is rejected at construction as kBudgetTooSmall, and a deadline that
-// fires during a stall throws mdc::CancelledError — never a hang, never
-// partial data.
+// It runs the StreamPlan's static schedule. The pinned prefix loads once,
+// in sweep order, and is never evicted; every other shard streams through
+// a ring and is dropped as soon as the consumer releases it. A background
+// thread loads the next absent shard in sweep order as soon as it fits the
+// budget, while the consumer's OpenMP team computes the current one, so
+// the per-frequency F->MVM->Fᴴ work overlaps storage I/O; otherwise it
+// waits for a release. There is no victim to choose: the plan's window
+// guarantees that the next ring shard fits once the previous one is gone.
+// All failure modes are typed and prompt: a truncated or deleted archive
+// surfaces as StreamError(kIo) on the next acquire (from either the
+// prefetch thread or a synchronous load), a budget that cannot hold the
+// plan's window is rejected at construction as kBudgetTooSmall, and a
+// deadline that fires during a stall throws mdc::CancelledError — never a
+// hang, never partial data.
 #pragma once
 
 #include <condition_variable>
@@ -36,7 +36,7 @@ namespace tlrwse::oocache {
 class StreamError : public std::runtime_error {
  public:
   enum class Code {
-    kBudgetTooSmall,  // budget cannot hold one double-buffer window
+    kBudgetTooSmall,  // budget cannot hold the plan's window
     kIo,              // a shard load failed (truncated, deleted, corrupt)
     kShutdown,        // streamer torn down while a sweep was in flight
   };
@@ -84,11 +84,10 @@ class ArchiveShardSource final : public ShardSource {
 
 struct StreamConfig {
   double budget_bytes = 0.0;
-  bool prefetch = true;     // background thread; false = load in acquire
-  bool cyclic_plan = true;  // plan-driven (Belady) eviction; false = LRU
-  /// Lift an undersized budget to the plan's double-buffer window instead
-  /// of throwing kBudgetTooSmall (CLI convenience; serve admission keeps
-  /// the strict default).
+  bool prefetch = true;  // background thread; false = load in acquire
+  /// Lift an undersized budget to the plan's window instead of throwing
+  /// kBudgetTooSmall (CLI convenience; serve admission keeps the strict
+  /// default).
   bool grow_to_window = false;
 };
 
@@ -96,7 +95,7 @@ struct StreamStats {
   std::uint64_t hits = 0;       // acquires that found the shard resident
   std::uint64_t misses = 0;     // acquires that had to wait for a load
   std::uint64_t loads = 0;
-  std::uint64_t evictions = 0;
+  std::uint64_t evictions = 0;  // ring shards dropped
   double bytes_streamed = 0.0;  // payload bytes read disk->RAM
   double stall_s = 0.0;         // consumer time blocked in acquire
   double peak_resident_bytes = 0.0;
@@ -105,7 +104,7 @@ struct StreamStats {
 class ShardStreamer final : public mdc::KernelStream {
  public:
   /// Throws StreamError(kBudgetTooSmall) unless cfg.budget_bytes (or the
-  /// grown budget) holds the plan's double-buffer window.
+  /// grown budget) holds the plan's window.
   ShardStreamer(std::shared_ptr<ShardSource> source, StreamPlan plan,
                 StreamConfig cfg);
   ~ShardStreamer() override;
@@ -145,19 +144,21 @@ class ShardStreamer final : public mdc::KernelStream {
     std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
     std::vector<mdc::FrequencyMvm*> raw;
     double bytes = 0.0;
-    std::uint64_t last_use = 0;  // LRU clock, unknown-order fallback
-    bool pinned = false;         // held by the consumer between acq/rel
   };
 
   void prefetch_loop();
-  /// Evicts until `need` more bytes fit the budget without touching pinned
-  /// shards or (cyclic plans) shards needed before `target_step`. Returns
-  /// false when nothing more can be evicted yet. Caller holds mu_.
-  bool make_room(double need, std::uint64_t target_step);
-  void install_loaded(index_t s, ShardKernels&& loaded);
+  /// Whether shard s fits the budget now. When it does not and no ring
+  /// shard is resident, no release can make room, so the stream fails as
+  /// kBudgetTooSmall. Caller holds mu_.
+  bool fits(index_t s);
+  /// Loads shard s on the calling thread with mu_ released, then installs
+  /// it, or fails the stream as kIo. A load that returns to a slot an
+  /// aborted sweep reset is discarded. Caller holds mu_ through `lk`.
+  void load(index_t s, std::unique_lock<std::mutex>& lk);
+  /// Drops a ready shard's residency and hands its kernels to retired_.
+  /// Caller holds mu_.
+  void drop(Slot& slot);
   void fail_stream(StreamError::Code code, const std::string& what);
-  /// Synchronous load of shard s on the calling thread (prefetch off).
-  void load_inline(index_t s, std::unique_lock<std::mutex>& lk);
 
   std::shared_ptr<ShardSource> source_;
   StreamPlan plan_;
@@ -170,8 +171,10 @@ class ShardStreamer final : public mdc::KernelStream {
   std::condition_variable ready_cv_;  // consumer waits: shard ready/failed
   std::condition_variable work_cv_;   // prefetcher waits: work or room
   std::vector<Slot> slots_;
-  std::uint64_t cursor_ = 0;    // sweep step the consumer acquires next
-  std::uint64_t use_tick_ = 0;  // LRU clock source
+  // Kernels of dropped ring shards, freed by the next load() so the
+  // consumer's release does not pay for the free.
+  std::vector<std::unique_ptr<mdc::FrequencyMvm>> retired_;
+  std::uint64_t cursor_ = 0;  // sweep step the consumer acquires next
   double resident_bytes_ = 0.0;
   bool stop_ = false;
   bool failed_ = false;

@@ -1,17 +1,17 @@
 // StreamPlan: the compiled disk->RAM schedule of an out-of-core solve.
 //
 // LSQR's access pattern is known before the first iteration: every apply —
-// forward or adjoint — sweeps the frequency shards in ascending order, and
-// the solve alternates applies until convergence. That turns cache policy
-// from a guessing game into a plan, the same move the paper makes for the
-// 48 kB PE scratchpads: group the archive's granules (frequency kernels
-// for "TLRA", whole bands for "TLRS" — a band's kernels share one compiled
-// basis arena, so splitting it would duplicate basis residency) into
-// shards of about half the byte budget, so one half computes while the
-// other prefetches, and evict the resident shard whose next use is
-// farthest in the cyclic order (Belady's rule, exact here because the
-// order is known). LRU survives only as the fallback for callers that
-// declare the access order unknown.
+// forward or adjoint — sweeps the frequency granules in ascending order
+// (per-frequency kernels for "TLRA", whole bands for "TLRS" — a band's
+// kernels share one compiled basis arena, so splitting it would duplicate
+// basis residency), and the solve repeats sweeps until convergence. With
+// the order known, the schedule that moves the fewest bytes under a budget
+// is static, the fast/slow-memory schedule the paper runs on 48 kB PE
+// scratchpads: each granule is one shard; the longest prefix that fits
+// beside the ring window is pinned, loaded once and never evicted; every
+// other shard streams through a ring in sweep order, where the shard being
+// computed and the one being prefetched must fit together. A steady sweep
+// therefore reads total_bytes() - pinned_bytes() and nothing else.
 #pragma once
 
 #include <cstdint>
@@ -23,27 +23,24 @@
 
 namespace tlrwse::oocache {
 
-/// One planned shard: a run of consecutive frequencies loaded and evicted
-/// as a unit.
+/// One planned shard: one granule, a run of consecutive frequencies loaded
+/// and dropped as a unit.
 struct StreamShard {
   index_t q_begin = 0;  // frequency range [q_begin, q_end)
   index_t q_end = 0;
-  index_t g_begin = 0;  // granule (extent) range composing the shard
-  index_t g_end = 0;
   double bytes = 0.0;   // payload bytes, the residency currency
 };
 
 struct StreamPlanConfig {
   double budget_bytes = 0.0;  // RAM allowance for resident shards
-  /// Ascending cyclic sweeps (the LSQR pattern). False = access order
-  /// unknown: the plan still shards ascending, but consumers must fall
-  /// back to LRU eviction instead of next-use distances.
-  bool cyclic = true;
 };
 
 class StreamPlan {
  public:
   StreamPlan() = default;
+  /// Pins the longest prefix of `shards` for which pinned bytes plus the
+  /// ring window fit cfg.budget_bytes, or nothing when even an empty prefix
+  /// does not fit (the streamer then rejects or grows the budget).
   StreamPlan(std::vector<StreamShard> shards, StreamPlanConfig cfg);
 
   [[nodiscard]] const std::vector<StreamShard>& shards() const noexcept {
@@ -58,11 +55,14 @@ class StreamPlan {
   [[nodiscard]] index_t num_freqs() const noexcept {
     return shards_.empty() ? 0 : shards_.back().q_end;
   }
-  [[nodiscard]] double budget_bytes() const noexcept { return budget_; }
   [[nodiscard]] double total_bytes() const noexcept { return total_; }
-  [[nodiscard]] bool cyclic() const noexcept { return cyclic_; }
-  /// Max bytes of two consecutive shards in the sweep (wrapping when
-  /// cyclic): the smallest budget that can double-buffer this plan.
+  /// Shards [0, pinned_shards()) stay resident for the stream's lifetime;
+  /// the rest form the ring.
+  [[nodiscard]] index_t pinned_shards() const noexcept { return pinned_; }
+  [[nodiscard]] double pinned_bytes() const noexcept { return pinned_bytes_; }
+  /// pinned_bytes() plus the largest two ring shards adjacent in the
+  /// cyclic sweep (one shard for a one-shard ring, 0 for an empty one): the
+  /// smallest budget this plan runs in.
   [[nodiscard]] double window_bytes() const noexcept { return window_; }
 
   /// Shard consumed at sweep step `step`; steps count monotonically across
@@ -71,28 +71,18 @@ class StreamPlan {
     return static_cast<index_t>(step %
                                 static_cast<std::uint64_t>(num_shards()));
   }
-  /// First step >= from_step that consumes `shard` — the next-use distance
-  /// behind plan-driven (Belady) eviction. Only meaningful when cyclic().
-  [[nodiscard]] std::uint64_t next_use(index_t shard,
-                                       std::uint64_t from_step) const {
-    const auto S = static_cast<std::uint64_t>(num_shards());
-    const std::uint64_t pos = from_step % S;
-    const auto sh = static_cast<std::uint64_t>(shard);
-    return from_step + (sh + S - pos) % S;
-  }
 
  private:
   std::vector<StreamShard> shards_;
-  double budget_ = 0.0;
   double total_ = 0.0;
+  index_t pinned_ = 0;
+  double pinned_bytes_ = 0.0;
   double window_ = 0.0;
-  bool cyclic_ = true;
 };
 
 /// Compiles a plan from the granule extents of one archive peek
-/// (peek_archive_extents). Shards target budget_bytes / 2 so a double
-/// buffer fits the budget; a granule larger than that becomes its own
-/// shard (the budget check happens where the stream is built, not here).
+/// (peek_archive_extents), one shard per granule. Whether the budget holds
+/// the plan's window is checked where the stream is built, not here.
 [[nodiscard]] StreamPlan compile_stream_plan(const io::ArchiveInfo& info,
                                              const StreamPlanConfig& cfg);
 

@@ -24,10 +24,16 @@ struct StreamedOperator {
 };
 
 /// Builds a streamed operator over a TLRA/TLRS archive. Throws
-/// StreamError(kBudgetTooSmall) when cfg.budget_bytes cannot hold one
-/// double-buffer window (unless cfg.grow_to_window lifts it), and the
-/// usual io errors for an unreadable archive.
+/// StreamError(kBudgetTooSmall) when cfg.budget_bytes cannot hold the
+/// plan's window (unless cfg.grow_to_window lifts it), and the usual io
+/// errors for an unreadable archive.
 [[nodiscard]] StreamedOperator make_streamed_operator(
     const std::string& path, const StreamConfig& cfg);
+
+/// The same over an extents peek of `path` the caller already holds
+/// (io::peek_archive_extents), so pricing and streaming share one
+/// directory read.
+[[nodiscard]] StreamedOperator make_streamed_operator(
+    const std::string& path, io::ArchiveInfo info, const StreamConfig& cfg);
 
 }  // namespace tlrwse::oocache

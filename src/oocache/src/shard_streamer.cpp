@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "tlrwse/common/error.hpp"
@@ -101,8 +102,10 @@ ShardStreamer::ShardStreamer(std::shared_ptr<ShardSource> source,
       throw StreamError(
           StreamError::Code::kBudgetTooSmall,
           "tlrwse::oocache: budget of " + std::to_string(budget_) +
-              " bytes cannot hold one double-buffer window of " +
-              std::to_string(window) + " bytes");
+              " bytes cannot hold the plan's window of " +
+              std::to_string(window) + " bytes (a pinned prefix of " +
+              std::to_string(plan_.pinned_bytes()) +
+              " bytes plus the ring's double-buffer)");
     }
   }
   slots_.resize(static_cast<std::size_t>(plan_.num_shards()));
@@ -119,27 +122,36 @@ ShardStreamer::~ShardStreamer() {
   ready_cv_.notify_all();
   work_cv_.notify_all();
   if (prefetcher_.joinable()) prefetcher_.join();
+  // The residency gauge is shared by every streamer in the process.
+  for (const Slot& slot : slots_) {
+    if (slot.state == ShardState::kReady) {
+      StreamMetrics::instance().bytes_resident.add(
+          -static_cast<std::int64_t>(slot.bytes));
+    }
+  }
 }
 
-void ShardStreamer::begin_sweep() {
-  sweep_mu_.lock();
-  std::lock_guard<std::mutex> lk(mu_);
-  // Realign after an aborted sweep: the next consumer restarts at shard 0.
-  const auto S = static_cast<std::uint64_t>(plan_.num_shards());
-  if (cursor_ % S != 0) cursor_ += S - cursor_ % S;
-  work_cv_.notify_all();
-}
+void ShardStreamer::begin_sweep() { sweep_mu_.lock(); }
 
 void ShardStreamer::end_sweep() noexcept {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    // An aborted sweep (deadline, stream failure) may leave its shard
-    // pinned and the cursor mid-sweep; clean both so the prefetcher and
-    // the next sweep see a consistent plan position.
-    for (Slot& s : slots_) s.pinned = false;
     const auto S = static_cast<std::uint64_t>(plan_.num_shards());
-    if (cursor_ % S != 0) cursor_ += S - cursor_ % S;
-    work_cv_.notify_all();
+    if (cursor_ % S != 0) {
+      // An aborted sweep (deadline, stream failure): the next one restarts
+      // at shard 0. The ring shards loaded ahead of the abort point are not
+      // needed until late in that sweep, yet they would fill the ring its
+      // first ring shard must load into — the prefetcher would wait for a
+      // release and the consumer for that shard. Drop them, and discard any
+      // ring load still in flight.
+      cursor_ += S - cursor_ % S;
+      for (index_t s = plan_.pinned_shards(); s < plan_.num_shards(); ++s) {
+        Slot& slot = slots_[static_cast<std::size_t>(s)];
+        if (slot.state == ShardState::kReady) drop(slot);
+        slot.state = ShardState::kAbsent;
+      }
+      work_cv_.notify_all();
+    }
   }
   sweep_mu_.unlock();
 }
@@ -157,7 +169,9 @@ std::span<mdc::FrequencyMvm* const> ShardStreamer::acquire_shard(index_t s) {
     ++stats_.misses;
     met.misses.add();
     if (!cfg_.prefetch) {
-      load_inline(s, lk);
+      // No ring shard is resident at an acquire (each is dropped at its
+      // release), so a shard that does not fit fails the stream here.
+      if (!failed_ && !stop_ && fits(s)) load(s, lk);
     } else {
       // The shard-ready wait: the prefetcher is (or will be) loading it.
       // Poll the cancel hook so a deadline interrupts a disk stall.
@@ -187,14 +201,12 @@ std::span<mdc::FrequencyMvm* const> ShardStreamer::acquire_shard(index_t s) {
                         "tlrwse::oocache: streamer shut down mid-sweep");
     }
   }
-  slot.pinned = true;
-  slot.last_use = ++use_tick_;
   return std::span<mdc::FrequencyMvm* const>(slot.raw);
 }
 
 void ShardStreamer::release_shard(index_t s) noexcept {
   std::lock_guard<std::mutex> lk(mu_);
-  slots_[static_cast<std::size_t>(s)].pinned = false;
+  if (s >= plan_.pinned_shards()) drop(slots_[static_cast<std::size_t>(s)]);
   ++cursor_;
   work_cv_.notify_all();
 }
@@ -204,79 +216,36 @@ StreamStats ShardStreamer::stats() const {
   return stats_;
 }
 
-bool ShardStreamer::make_room(double need, std::uint64_t target_step) {
-  StreamMetrics& met = StreamMetrics::instance();
-  while (resident_bytes_ + need > budget_) {
-    // Both policies refuse to evict a shard the streamer's own sweep needs
-    // before the shard being loaded (the streamer enforces that order at
-    // acquire time, so this much of the future is known even when the
-    // cross-sweep pattern is not). Without the guard, LRU would evict the
-    // freshly prefetched, never-yet-used (last_use == 0) upcoming shards
-    // first — a livelock where the prefetcher churns the window it is
-    // trying to fill while the consumer starves.
-    index_t victim = -1;
-    if (cfg_.cyclic_plan) {
-      // Belady: drop the resident shard used farthest in the future —
-      // exact, because cyclic sweeps make next_use the true future.
-      std::uint64_t farthest = 0;
-      for (index_t v = 0; v < plan_.num_shards(); ++v) {
-        const Slot& sl = slots_[static_cast<std::size_t>(v)];
-        if (sl.state != ShardState::kReady || sl.pinned) continue;
-        const std::uint64_t use = plan_.next_use(v, cursor_);
-        if (use <= target_step) continue;
-        if (victim < 0 || use > farthest) {
-          victim = v;
-          farthest = use;
-        }
-      }
-    } else {
-      // Cross-sweep order unknown: least-recently-used fallback among the
-      // shards this sweep is done with (or not due before the target).
-      std::uint64_t oldest = 0;
-      for (index_t v = 0; v < plan_.num_shards(); ++v) {
-        const Slot& sl = slots_[static_cast<std::size_t>(v)];
-        if (sl.state != ShardState::kReady || sl.pinned) continue;
-        if (plan_.next_use(v, cursor_) <= target_step) continue;
-        if (victim < 0 || sl.last_use < oldest) {
-          victim = v;
-          oldest = sl.last_use;
-        }
-      }
-    }
-    if (victim < 0) return false;
-    Slot& sl = slots_[static_cast<std::size_t>(victim)];
-    resident_bytes_ -= sl.bytes;
-    sl.kernels.clear();
-    sl.kernels.shrink_to_fit();
-    sl.raw.clear();
-    sl.raw.shrink_to_fit();
-    sl.bytes = 0.0;
-    sl.state = ShardState::kAbsent;
-    ++stats_.evictions;
-    met.evictions.add();
-    met.bytes_resident.set(static_cast<std::int64_t>(resident_bytes_));
+bool ShardStreamer::fits(index_t s) {
+  if (resident_bytes_ + plan_.shard(s).bytes <= budget_) return true;
+  const auto ring_begin =
+      slots_.begin() + static_cast<std::ptrdiff_t>(plan_.pinned_shards());
+  if (std::none_of(ring_begin, slots_.end(), [](const Slot& sl) {
+        return sl.state == ShardState::kReady;
+      })) {
+    fail_stream(StreamError::Code::kBudgetTooSmall,
+                "tlrwse::oocache: shard " + std::to_string(s) + " of " +
+                    std::to_string(plan_.shard(s).bytes) +
+                    " bytes does not fit the budget beside " +
+                    std::to_string(resident_bytes_) + " resident bytes");
   }
-  return true;
+  return false;
 }
 
-void ShardStreamer::install_loaded(index_t s, ShardKernels&& loaded) {
+void ShardStreamer::drop(Slot& slot) {
+  resident_bytes_ -= slot.bytes;
   StreamMetrics& met = StreamMetrics::instance();
-  Slot& slot = slots_[static_cast<std::size_t>(s)];
-  slot.kernels = std::move(loaded.kernels);
+  met.bytes_resident.add(-static_cast<std::int64_t>(slot.bytes));
+  met.evictions.add();
+  ++stats_.evictions;
+  std::move(slot.kernels.begin(), slot.kernels.end(),
+            std::back_inserter(retired_));
+  slot.kernels.clear();
+  slot.kernels.shrink_to_fit();
   slot.raw.clear();
-  slot.raw.reserve(slot.kernels.size());
-  for (const auto& k : slot.kernels) slot.raw.push_back(k.get());
-  slot.bytes = loaded.bytes;
-  slot.state = ShardState::kReady;
-  resident_bytes_ += slot.bytes;
-  stats_.peak_resident_bytes =
-      std::max(stats_.peak_resident_bytes, resident_bytes_);
-  ++stats_.loads;
-  stats_.bytes_streamed += slot.bytes;
-  met.loads.add();
-  met.bytes_streamed.add(static_cast<std::int64_t>(slot.bytes));
-  met.bytes_resident.set(static_cast<std::int64_t>(resident_bytes_));
-  ready_cv_.notify_all();
+  slot.raw.shrink_to_fit();
+  slot.bytes = 0.0;
+  slot.state = ShardState::kAbsent;
 }
 
 void ShardStreamer::fail_stream(StreamError::Code code,
@@ -290,19 +259,16 @@ void ShardStreamer::fail_stream(StreamError::Code code,
   work_cv_.notify_all();
 }
 
-void ShardStreamer::load_inline(index_t s, std::unique_lock<std::mutex>& lk) {
-  if (failed_ || stop_) return;
+void ShardStreamer::load(index_t s, std::unique_lock<std::mutex>& lk) {
   Slot& slot = slots_[static_cast<std::size_t>(s)];
   const StreamShard& sh = plan_.shard(s);
-  if (!make_room(sh.bytes, cursor_)) {
-    // Unreachable when budget >= window (nothing is pinned at acquire
-    // time), but a typed error beats a wedged sweep if it ever trips.
-    fail_stream(StreamError::Code::kBudgetTooSmall,
-                "tlrwse::oocache: no evictable shard for a synchronous load");
-    return;
-  }
   slot.state = ShardState::kLoading;
+  // Dropped ring shards are freed here, off the consumer's path (their
+  // bytes left the budget at the drop) and before this load allocates.
+  std::vector<std::unique_ptr<mdc::FrequencyMvm>> retired;
+  retired.swap(retired_);
   lk.unlock();
+  retired.clear();
   ShardKernels loaded;
   bool ok = true;
   std::string err;
@@ -315,66 +281,51 @@ void ShardStreamer::load_inline(index_t s, std::unique_lock<std::mutex>& lk) {
     err = e.what();
   }
   lk.lock();
+  if (stop_ || slot.state != ShardState::kLoading) return;
   if (!ok) {
     slot.state = ShardState::kAbsent;
     fail_stream(StreamError::Code::kIo,
                 "tlrwse::oocache: shard load failed: " + err);
     return;
   }
-  install_loaded(s, std::move(loaded));
+  StreamMetrics& met = StreamMetrics::instance();
+  slot.kernels = std::move(loaded.kernels);
+  slot.raw.clear();
+  slot.raw.reserve(slot.kernels.size());
+  for (const auto& k : slot.kernels) slot.raw.push_back(k.get());
+  slot.bytes = loaded.bytes;
+  slot.state = ShardState::kReady;
+  resident_bytes_ += slot.bytes;
+  stats_.peak_resident_bytes =
+      std::max(stats_.peak_resident_bytes, resident_bytes_);
+  ++stats_.loads;
+  stats_.bytes_streamed += slot.bytes;
+  met.loads.add();
+  met.bytes_streamed.add(static_cast<std::int64_t>(slot.bytes));
+  met.bytes_resident.add(static_cast<std::int64_t>(slot.bytes));
+  ready_cv_.notify_all();
 }
 
 void ShardStreamer::prefetch_loop() {
   std::unique_lock<std::mutex> lk(mu_);
   const auto S = static_cast<std::uint64_t>(plan_.num_shards());
   while (!stop_ && !failed_) {
-    // Next absent shard within one sweep of the consumer's position; the
-    // nearest one first so the consumer's own stall resolves soonest.
+    // The next absent shard in sweep order, within one sweep of the
+    // consumer: pinned shards until the prefix is loaded, then the ring.
     index_t target = -1;
-    std::uint64_t target_step = 0;
     for (std::uint64_t t = cursor_; t < cursor_ + S; ++t) {
       const index_t sh = plan_.shard_at_step(t);
       if (slots_[static_cast<std::size_t>(sh)].state ==
           ShardState::kAbsent) {
         target = sh;
-        target_step = t;
         break;
       }
     }
-    if (target < 0) {
-      work_cv_.wait(lk);
-      continue;
+    if (target >= 0 && fits(target)) {
+      load(target, lk);
+    } else if (!failed_) {
+      work_cv_.wait(lk);  // nothing to load, or room after the next release
     }
-    const StreamShard& sh = plan_.shard(target);
-    if (!make_room(sh.bytes, target_step)) {
-      // Everything evictable is needed sooner than the target; room will
-      // appear when the consumer releases its pinned shard.
-      work_cv_.wait(lk);
-      continue;
-    }
-    Slot& slot = slots_[static_cast<std::size_t>(target)];
-    slot.state = ShardState::kLoading;
-    lk.unlock();
-    ShardKernels loaded;
-    bool ok = true;
-    std::string err;
-    try {
-      TLRWSE_TRACE_SPAN("oocache.load", "oocache");
-      loaded = source_->load(sh.q_begin, sh.q_end);
-      validate_shard(loaded, sh.q_begin, sh.q_end, rows(), cols());
-    } catch (const std::exception& e) {
-      ok = false;
-      err = e.what();
-    }
-    lk.lock();
-    if (stop_) return;
-    if (!ok) {
-      slot.state = ShardState::kAbsent;
-      fail_stream(StreamError::Code::kIo,
-                  "tlrwse::oocache: shard load failed: " + err);
-      return;
-    }
-    install_loaded(target, std::move(loaded));
   }
 }
 

@@ -7,32 +7,41 @@
 namespace tlrwse::oocache {
 
 StreamPlan::StreamPlan(std::vector<StreamShard> shards, StreamPlanConfig cfg)
-    : shards_(std::move(shards)), budget_(cfg.budget_bytes),
-      cyclic_(cfg.cyclic) {
+    : shards_(std::move(shards)) {
   TLRWSE_REQUIRE(!shards_.empty(), "stream plan needs at least one shard");
   index_t expect_q = 0;
-  index_t expect_g = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const StreamShard& sh = shards_[s];
-    TLRWSE_REQUIRE(sh.q_begin == expect_q && sh.q_end > sh.q_begin &&
-                       sh.g_begin == expect_g && sh.g_end > sh.g_begin,
-                   "stream plan shards must partition frequencies and "
-                   "granules in ascending order (shard ",
+    TLRWSE_REQUIRE(sh.q_begin == expect_q && sh.q_end > sh.q_begin,
+                   "stream plan shards must partition frequencies in "
+                   "ascending order (shard ",
                    s, ")");
     TLRWSE_REQUIRE(sh.bytes >= 0.0, "negative shard bytes");
     expect_q = sh.q_end;
-    expect_g = sh.g_end;
     total_ += sh.bytes;
   }
-  // The double-buffer window: while shard t computes, shard t+1 (cyclic:
-  // wrapping into the next sweep) must also be resident.
-  if (shards_.size() == 1) {
-    window_ = shards_.front().bytes;
-  } else {
-    const std::size_t pairs = cyclic_ ? shards_.size() : shards_.size() - 1;
-    for (std::size_t s = 0; s < pairs; ++s) {
-      window_ = std::max(window_, shards_[s].bytes +
-                                      shards_[(s + 1) % shards_.size()].bytes);
+  // Ring window of a prefix p: while ring shard t computes, the next one in
+  // the sweep (wrapping from the last shard to the first ring shard) loads.
+  const std::size_t n = shards_.size();
+  const auto ring_window = [&](std::size_t p) {
+    if (p == n) return 0.0;
+    double w = shards_[n - 1].bytes + (p + 1 < n ? shards_[p].bytes : 0.0);
+    for (std::size_t i = p; i + 1 < n; ++i) {
+      w = std::max(w, shards_[i].bytes + shards_[i + 1].bytes);
+    }
+    return w;
+  };
+  // A longer prefix never needs less than an empty one, so when p = 0 does
+  // not fit nothing does and the plan pins nothing.
+  window_ = ring_window(0);
+  double prefix = 0.0;
+  for (std::size_t p = 1; p <= n; ++p) {
+    prefix += shards_[p - 1].bytes;
+    const double window = prefix + ring_window(p);
+    if (window <= cfg.budget_bytes) {
+      pinned_ = static_cast<index_t>(p);
+      pinned_bytes_ = prefix;
+      window_ = window;
     }
   }
 }
@@ -44,32 +53,15 @@ StreamPlan compile_stream_plan(std::span<const double> bytes,
                  "granule bytes/freqs size mismatch");
   TLRWSE_REQUIRE(!bytes.empty(), "cannot plan a stream over zero granules");
   TLRWSE_REQUIRE(cfg.budget_bytes > 0.0, "stream budget must be positive");
-  double max_granule = 0.0;
-  for (const double b : bytes) {
-    TLRWSE_REQUIRE(b >= 0.0, "negative granule bytes");
-    max_granule = std::max(max_granule, b);
-  }
-  // Half the budget per shard leaves the other half for the prefetching
-  // neighbour; an oversized granule becomes its own shard and the budget
-  // check at stream construction decides whether it is servable at all.
-  const double target = std::max(cfg.budget_bytes / 2.0, max_granule);
   std::vector<StreamShard> shards;
-  StreamShard cur;
+  shards.reserve(bytes.size());
+  index_t q = 0;
   for (std::size_t g = 0; g < bytes.size(); ++g) {
     TLRWSE_REQUIRE(freqs[g] > 0, "granule with no frequencies");
-    if (cur.g_end > cur.g_begin && cur.bytes + bytes[g] > target) {
-      shards.push_back(cur);
-      cur = StreamShard{};
-      cur.q_begin = shards.back().q_end;
-      cur.g_begin = shards.back().g_end;
-      cur.q_end = cur.q_begin;
-      cur.g_end = cur.g_begin;
-    }
-    cur.q_end += freqs[g];
-    cur.g_end = static_cast<index_t>(g) + 1;
-    cur.bytes += bytes[g];
+    TLRWSE_REQUIRE(bytes[g] >= 0.0, "negative granule bytes");
+    shards.push_back(StreamShard{q, q + freqs[g], bytes[g]});
+    q += freqs[g];
   }
-  shards.push_back(cur);
   return StreamPlan(std::move(shards), cfg);
 }
 

@@ -2,17 +2,20 @@
 
 #include <utility>
 
-#include "tlrwse/common/error.hpp"
-
 namespace tlrwse::oocache {
 
 StreamedOperator make_streamed_operator(const std::string& path,
                                         const StreamConfig& cfg) {
+  return make_streamed_operator(path, io::peek_archive_extents(path), cfg);
+}
+
+StreamedOperator make_streamed_operator(const std::string& path,
+                                        io::ArchiveInfo info,
+                                        const StreamConfig& cfg) {
   StreamedOperator out;
-  out.info = io::peek_archive_extents(path);
+  out.info = std::move(info);
   StreamPlanConfig plan_cfg;
   plan_cfg.budget_bytes = cfg.budget_bytes;
-  plan_cfg.cyclic = cfg.cyclic_plan;
   StreamPlan plan = compile_stream_plan(out.info, plan_cfg);
   auto source = std::make_shared<ArchiveShardSource>(path, out.info);
   out.streamer =

@@ -9,8 +9,7 @@
 
 #include "tlrwse/io/archive.hpp"
 #include "tlrwse/obs/tracer.hpp"
-#include "tlrwse/oocache/shard_streamer.hpp"
-#include "tlrwse/oocache/stream_plan.hpp"
+#include "tlrwse/oocache/streamed_operator.hpp"
 
 namespace tlrwse::serve {
 
@@ -93,29 +92,24 @@ OperatorCache::Value LocalSource::load(const OperatorKey& key) const {
   // Archives over the residency cap are served out-of-core: one extents
   // peek prices the payload AND seeds both the stream plan and every later
   // slice load (a single directory read). The cache is charged the stream
-  // budget, so an over-budget archive is admitted as long as one
-  // double-buffer window fits; otherwise the kBudgetTooSmall throw
-  // propagates to every waiter as a typed load failure.
+  // budget, so an over-budget archive is admitted as long as the plan's
+  // window fits; otherwise the kBudgetTooSmall throw propagates to every
+  // waiter as a typed load failure.
   if (max_resident_bytes_ > 0.0) {
-    const io::ArchiveInfo info = io::peek_archive_extents(key.archive_id);
+    io::ArchiveInfo info = io::peek_archive_extents(key.archive_id);
     if (info.payload_bytes > max_resident_bytes_) {
-      oocache::StreamPlanConfig plan_cfg;
-      plan_cfg.budget_bytes = max_resident_bytes_;
-      oocache::StreamPlan plan = oocache::compile_stream_plan(info, plan_cfg);
-      auto source =
-          std::make_shared<oocache::ArchiveShardSource>(key.archive_id, info);
       oocache::StreamConfig stream_cfg;
       stream_cfg.budget_bytes = max_resident_bytes_;
-      resident->streamer = std::make_shared<oocache::ShardStreamer>(
-          std::move(source), std::move(plan), stream_cfg);
+      oocache::StreamedOperator streamed = oocache::make_streamed_operator(
+          key.archive_id, std::move(info), stream_cfg);
+      resident->streamer = std::move(streamed.streamer);
       // Streamed entries are priced at their window budget regardless of
       // storage precision (fp32_bytes stays 0 = "same as bytes"); the
       // capacity win shows up as more frequencies per window instead.
       resident->bytes = resident->streamer->budget_bytes();
-      resident->nt = info.nt;
-      resident->freqs_hz = info.freqs_hz;
-      resident->op = std::make_unique<mdc::MdcOperator>(
-          info.nt, info.freq_bins, resident->streamer);
+      resident->nt = streamed.info.nt;
+      resident->freqs_hz = std::move(streamed.info.freqs_hz);
+      resident->op = std::move(streamed.op);
       resident->op->set_inner_threads(inner_threads_);
       return resident;
     }

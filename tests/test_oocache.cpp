@@ -1,10 +1,12 @@
-// Out-of-core streaming tests: StreamPlan compilation and next-use
+// Out-of-core streaming tests: StreamPlan's pinned-prefix and ring-window
 // arithmetic, typed budget rejection, bitwise parity of streamed solves
 // against fully resident operators (TLRA, TLRS, and injected dense
-// kernels; Belady and LRU eviction), hostile streams (archive truncated
-// mid-shard, archive deleted between loads — typed kIo, never a hang),
-// cancellation during a prefetch stall, concurrent sweeps over one
-// streamer, and the serve-layer streamed-resident entries.
+// kernels), steady sweeps that stream only the ring, hostile streams
+// (archive truncated mid-shard, archive deleted between loads — typed kIo,
+// never a hang), cancellation during a prefetch stall, a sweep aborted
+// with the ring loaded ahead, a shard larger than planned (typed, never a
+// wait), concurrent sweeps over one streamer, the process-wide residency
+// gauge, and the serve-layer streamed-resident entries.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,6 +21,7 @@
 #include "tlrwse/io/archive.hpp"
 #include "tlrwse/mdc/cancellation.hpp"
 #include "tlrwse/mdd/mdd_solver.hpp"
+#include "tlrwse/obs/metrics_registry.hpp"
 #include "tlrwse/oocache/streamed_operator.hpp"
 #include "tlrwse/serve/solve_service.hpp"
 
@@ -74,55 +77,67 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
 
 // --- StreamPlan -------------------------------------------------------------
 
-TEST(StreamPlan, PacksGranulesToHalfBudget) {
+TEST(StreamPlan, PinsTheLongestPrefixBesideTheRingWindow) {
   const std::vector<double> bytes(8, 10.0);
   const std::vector<index_t> freqs(8, 1);
   StreamPlanConfig cfg;
-  cfg.budget_bytes = 40.0;  // target 20 -> 2 granules per shard
+  cfg.budget_bytes = 50.0;  // 3 pinned + a 20-byte ring pair; 4 would be 60
   const StreamPlan plan = compile_stream_plan(bytes, freqs, cfg);
-  ASSERT_EQ(plan.num_shards(), 4);
+  ASSERT_EQ(plan.num_shards(), 8);  // one shard per granule
   for (index_t s = 0; s < plan.num_shards(); ++s) {
-    EXPECT_EQ(plan.shard(s).bytes, 20.0);
-    EXPECT_EQ(plan.shard(s).q_end - plan.shard(s).q_begin, 2);
+    EXPECT_EQ(plan.shard(s).bytes, 10.0);
+    EXPECT_EQ(plan.shard(s).q_begin, s);
+    EXPECT_EQ(plan.shard(s).q_end, s + 1);
   }
   EXPECT_EQ(plan.num_freqs(), 8);
   EXPECT_EQ(plan.total_bytes(), 80.0);
-  EXPECT_EQ(plan.window_bytes(), 40.0);  // any adjacent pair
+  EXPECT_EQ(plan.pinned_shards(), 3);
+  EXPECT_EQ(plan.pinned_bytes(), 30.0);
+  EXPECT_EQ(plan.window_bytes(), 50.0);
+  EXPECT_EQ(plan.shard_at_step(0), 0);
+  EXPECT_EQ(plan.shard_at_step(9), 1);  // steps run on across sweeps
 }
 
-TEST(StreamPlan, OversizedGranuleBecomesItsOwnShard) {
+TEST(StreamPlan, OversizedGranuleStaysInTheRing) {
   const std::vector<double> bytes{50.0, 10.0, 10.0};
   const std::vector<index_t> freqs{2, 1, 1};
   StreamPlanConfig cfg;
-  cfg.budget_bytes = 40.0;  // target max(20, 50) = 50
-  const StreamPlan plan = compile_stream_plan(bytes, freqs, cfg);
-  ASSERT_EQ(plan.num_shards(), 2);
-  EXPECT_EQ(plan.shard(0).bytes, 50.0);
-  EXPECT_EQ(plan.shard(1).bytes, 20.0);
-  EXPECT_EQ(plan.shard(0).q_end, 2);
-  EXPECT_EQ(plan.shard(1).q_end, 4);
-  // Cyclic window wraps: shard 1 + shard 0 of the next sweep.
-  EXPECT_EQ(plan.window_bytes(), 70.0);
+  cfg.budget_bytes = 40.0;  // below every window: nothing is pinned
+  const StreamPlan small = compile_stream_plan(bytes, freqs, cfg);
+  ASSERT_EQ(small.num_shards(), 3);
+  EXPECT_EQ(small.shard(0).q_end, 2);
+  EXPECT_EQ(small.shard(2).q_end, 4);
+  EXPECT_EQ(small.pinned_shards(), 0);
+  // The 50-byte granule pairs with its neighbour and, wrapping, with the
+  // last granule of the previous sweep.
+  EXPECT_EQ(small.window_bytes(), 60.0);
+
+  cfg.budget_bytes = 65.0;  // the empty prefix fits; pinning 50 needs 70
+  const StreamPlan mid = compile_stream_plan(bytes, freqs, cfg);
+  EXPECT_EQ(mid.pinned_shards(), 0);
+  EXPECT_EQ(mid.window_bytes(), 60.0);
 }
 
-TEST(StreamPlan, NextUseWalksTheCyclicSweep) {
-  const std::vector<double> bytes(4, 1.0);
+TEST(StreamPlan, EverythingFitsLeavesAnEmptyRing) {
+  const std::vector<double> bytes(4, 10.0);
   const std::vector<index_t> freqs(4, 1);
   StreamPlanConfig cfg;
-  cfg.budget_bytes = 2.0;  // one granule per shard
+  cfg.budget_bytes = 100.0;
   const StreamPlan plan = compile_stream_plan(bytes, freqs, cfg);
-  ASSERT_EQ(plan.num_shards(), 4);
-  EXPECT_EQ(plan.shard_at_step(0), 0);
-  EXPECT_EQ(plan.shard_at_step(5), 1);
-  EXPECT_EQ(plan.next_use(1, 5), 5u);  // due right now
-  EXPECT_EQ(plan.next_use(2, 5), 6u);
-  EXPECT_EQ(plan.next_use(0, 5), 8u);  // wraps into the next sweep
+  EXPECT_EQ(plan.pinned_shards(), 4);
+  EXPECT_EQ(plan.pinned_bytes(), 40.0);
+  EXPECT_EQ(plan.window_bytes(), 40.0);  // no ring pair on top
+
+  cfg.budget_bytes = 39.0;  // one byte short: the ring takes over
+  const StreamPlan tight = compile_stream_plan(bytes, freqs, cfg);
+  EXPECT_EQ(tight.pinned_shards(), 1);
+  EXPECT_EQ(tight.window_bytes(), 30.0);
 }
 
 TEST(StreamPlan, RejectsNonPartitionShards) {
   std::vector<StreamShard> shards(2);
-  shards[0] = StreamShard{0, 2, 0, 1, 1.0};
-  shards[1] = StreamShard{3, 4, 1, 2, 1.0};  // gap: q 2 unowned
+  shards[0] = StreamShard{0, 2, 1.0};
+  shards[1] = StreamShard{3, 4, 1.0};  // gap: q 2 unowned
   StreamPlanConfig cfg;
   cfg.budget_bytes = 4.0;
   EXPECT_THROW(StreamPlan(std::move(shards), cfg), std::invalid_argument);
@@ -204,7 +219,6 @@ std::shared_ptr<ShardStreamer> dense_streamer(
   StreamPlanConfig plan_cfg;
   plan_cfg.budget_bytes =
       std::max(granule * 2.0, granule * src->nq * budget_fraction);
-  plan_cfg.cyclic = cfg.cyclic_plan;
   cfg.budget_bytes = plan_cfg.budget_bytes;
   return std::make_shared<ShardStreamer>(
       src, compile_stream_plan(bytes, freqs, plan_cfg), cfg);
@@ -352,7 +366,7 @@ TEST(StreamedOperator, HalfArchiveStreamsBitwiseAtHalfThePayload) {
   EXPECT_EQ(ref.iterations, got.iterations);
 }
 
-TEST(StreamedOperator, DenseKernelsStreamBitwiseUnderBeladyAndLru) {
+TEST(StreamedOperator, DenseKernelsStreamBitwise) {
   const auto resident = dense_resident(22, 17);
   std::vector<float> x(static_cast<std::size_t>(resident->cols()));
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -363,20 +377,59 @@ TEST(StreamedOperator, DenseKernelsStreamBitwiseUnderBeladyAndLru) {
   std::vector<float> ref_x(static_cast<std::size_t>(resident->cols()));
   resident->apply_adjoint(ref_y, std::span<float>(ref_x));
 
-  for (const bool cyclic : {true, false}) {
+  auto src = std::make_shared<DenseSource>(
+      22, 17, static_cast<index_t>(kBins.size()));
+  auto streamer = dense_streamer(src, 0.25);
+  mdc::MdcOperator op(kNt, kBins, streamer);
+
+  std::vector<float> y(static_cast<std::size_t>(op.rows()));
+  op.apply(x, std::span<float>(y));
+  EXPECT_TRUE(bitwise_equal(ref_y, y));
+  std::vector<float> xt(static_cast<std::size_t>(op.cols()));
+  op.apply_adjoint(y, std::span<float>(xt));
+  EXPECT_TRUE(bitwise_equal(ref_x, xt));
+}
+
+TEST(StreamedOperator, SteadySweepsStreamOnlyTheRing) {
+  const auto resident = dense_resident(22, 17);
+  std::vector<float> x(static_cast<std::size_t>(resident->cols()));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = std::sin(0.53 * static_cast<double>(i + 1));
+  }
+  std::vector<float> ref_y(static_cast<std::size_t>(resident->rows()));
+  resident->apply(x, std::span<float>(ref_y));
+
+  constexpr int kSweeps = 5;
+  for (const bool prefetch : {false, true}) {
     auto src = std::make_shared<DenseSource>(
         22, 17, static_cast<index_t>(kBins.size()));
     StreamConfig cfg;
-    cfg.cyclic_plan = cyclic;  // false = LRU fallback eviction
-    auto streamer = dense_streamer(src, 0.25, cfg);
+    cfg.prefetch = prefetch;
+    auto streamer = dense_streamer(src, 0.5, cfg);  // 5 of 10 granules
+    const StreamPlan& plan = streamer->plan();
+    ASSERT_EQ(plan.pinned_shards(), 3) << "3 pinned + a 2-granule ring pair";
+    const double ring = plan.total_bytes() - plan.pinned_bytes();
     mdc::MdcOperator op(kNt, kBins, streamer);
-
     std::vector<float> y(static_cast<std::size_t>(op.rows()));
-    op.apply(x, std::span<float>(y));
-    EXPECT_TRUE(bitwise_equal(ref_y, y)) << "cyclic=" << cyclic;
-    std::vector<float> xt(static_cast<std::size_t>(op.cols()));
-    op.apply_adjoint(y, std::span<float>(xt));
-    EXPECT_TRUE(bitwise_equal(ref_x, xt)) << "cyclic=" << cyclic;
+    double streamed = 0.0;
+    for (int k = 0; k < kSweeps; ++k) {
+      op.apply(x, std::span<float>(y));
+      EXPECT_TRUE(bitwise_equal(ref_y, y)) << "prefetch=" << prefetch;
+      const double now = streamer->stats().bytes_streamed;
+      if (!prefetch) {
+        // Exact: the first sweep reads everything, later ones the ring.
+        EXPECT_EQ(now - streamed, k == 0 ? plan.total_bytes() : ring)
+            << "sweep " << k;
+      }
+      streamed = now;
+    }
+    const StreamStats st = streamer->stats();
+    EXPECT_GT(st.hits, 0u) << "prefetch=" << prefetch;
+    const double floor = plan.total_bytes() + (kSweeps - 1) * ring;
+    // The prefetcher may already hold the next sweep's first ring shards.
+    EXPECT_GE(st.bytes_streamed, floor);
+    EXPECT_LE(st.bytes_streamed,
+              floor + streamer->budget_bytes() - plan.pinned_bytes());
   }
 }
 
@@ -500,6 +553,111 @@ TEST(ShardStreamer, CancelDuringPrefetchStallThrowsCancelled) {
   std::vector<float> ref(static_cast<std::size_t>(resident->rows()));
   resident->apply(x, std::span<float>(ref));
   EXPECT_TRUE(bitwise_equal(ref, y));
+}
+
+TEST(ShardStreamer, AbortedSweepDropsTheRingItLoadedAhead) {
+  const auto resident = dense_resident(22, 17);
+  std::vector<float> x(static_cast<std::size_t>(resident->cols()), 1.0F);
+  std::vector<float> ref(static_cast<std::size_t>(resident->rows()));
+  resident->apply(x, std::span<float>(ref));
+
+  auto src = std::make_shared<DenseSource>(
+      22, 17, static_cast<index_t>(kBins.size()));
+  auto streamer = dense_streamer(src, 0.5);  // 3 pinned, 2-granule ring
+  const index_t pinned = streamer->plan().pinned_shards();
+  ASSERT_EQ(pinned, 3);
+  mdc::MdcOperator op(kNt, kBins, streamer);
+
+  // Sweep by hand through the first ring shard, then abort: the prefetcher
+  // has filled the ring with the two shards after it, which the next sweep
+  // needs last.
+  streamer->begin_sweep();
+  for (index_t s = 0; s <= pinned; ++s) {
+    (void)streamer->acquire_shard(s);
+    streamer->release_shard(s);
+  }
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (streamer->stats().loads < static_cast<std::uint64_t>(pinned) + 3 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(streamer->stats().loads, static_cast<std::uint64_t>(pinned) + 3);
+  streamer->end_sweep();
+
+  // A ring left full would wedge the next sweep at its first ring shard;
+  // the deadline turns that into a failure instead of a hang.
+  std::vector<float> y(static_cast<std::size_t>(op.rows()));
+  const auto start = std::chrono::steady_clock::now();
+  {
+    mdc::CancelScope deadline([start] {
+      return std::chrono::steady_clock::now() - start >
+             std::chrono::seconds(10);
+    });
+    op.apply(x, std::span<float>(y));
+  }
+  EXPECT_TRUE(bitwise_equal(ref, y));
+}
+
+TEST(ShardStreamer, ShardLargerThanPlannedIsTypedBudgetFailure) {
+  // The plan prices each granule at 10 bytes, the source delivers ~3 kB:
+  // after the first pinned shard nothing else fits and no ring shard can
+  // be released to make room, so the prefetcher fails the stream instead
+  // of waiting forever.
+  auto src = std::make_shared<DenseSource>(
+      22, 17, static_cast<index_t>(kBins.size()));
+  const std::vector<double> bytes(kBins.size(), 10.0);
+  const std::vector<index_t> freqs(kBins.size(), 1);
+  StreamPlanConfig plan_cfg;
+  plan_cfg.budget_bytes = 50.0;
+  StreamConfig cfg;
+  cfg.budget_bytes = plan_cfg.budget_bytes;
+  auto streamer = std::make_shared<ShardStreamer>(
+      src, compile_stream_plan(bytes, freqs, plan_cfg), cfg);
+  mdc::MdcOperator op(kNt, kBins, streamer);
+
+  std::vector<float> x(static_cast<std::size_t>(op.cols()), 1.0F);
+  std::vector<float> y(static_cast<std::size_t>(op.rows()));
+  const auto start = std::chrono::steady_clock::now();
+  mdc::CancelScope deadline([start] {
+    return std::chrono::steady_clock::now() - start >
+           std::chrono::seconds(10);
+  });
+  try {
+    op.apply(x, std::span<float>(y));
+    FAIL() << "expected StreamError(kBudgetTooSmall)";
+  } catch (const StreamError& e) {
+    EXPECT_EQ(e.code(), StreamError::Code::kBudgetTooSmall);
+  }
+}
+
+TEST(ShardStreamer, ResidentGaugeSumsLiveStreamers) {
+  const obs::Gauge& gauge =
+      obs::MetricsRegistry::instance().gauge("oocache.bytes_resident");
+  const std::int64_t before = gauge.value();
+  const auto sweep = [](mdc::MdcOperator& op) {
+    std::vector<float> x(static_cast<std::size_t>(op.cols()), 1.0F);
+    std::vector<float> y(static_cast<std::size_t>(op.rows()));
+    op.apply(x, std::span<float>(y));
+  };
+  {
+    StreamConfig cfg;
+    cfg.prefetch = false;  // after a sweep, exactly the pinned prefix
+    const auto nq = static_cast<index_t>(kBins.size());
+    auto a = dense_streamer(std::make_shared<DenseSource>(22, 17, nq), 0.5,
+                            cfg);
+    auto b = dense_streamer(std::make_shared<DenseSource>(13, 11, nq), 0.3,
+                            cfg);
+    mdc::MdcOperator op_a(kNt, kBins, a);
+    mdc::MdcOperator op_b(kNt, kBins, b);
+    sweep(op_a);
+    sweep(op_b);
+    ASSERT_GT(a->plan().pinned_bytes(), 0.0);
+    ASSERT_GT(b->plan().pinned_bytes(), 0.0);
+    EXPECT_EQ(gauge.value() - before,
+              static_cast<std::int64_t>(a->plan().pinned_bytes() +
+                                        b->plan().pinned_bytes()));
+  }
+  EXPECT_EQ(gauge.value(), before);
 }
 
 // --- Serve integration ------------------------------------------------------

@@ -440,8 +440,8 @@ int cmd_solve(const Args& args) {
   bool shared_basis = false;
   if (stream_mb > 0.0) {
     // Out-of-core: kernels stream disk->RAM under the byte budget while
-    // the solve runs, grown to the plan's double-buffer window when the
-    // request is too small to be servable at all.
+    // the solve runs, grown to the plan's window when the request is too
+    // small to be servable at all.
     oocache::StreamConfig scfg;
     scfg.budget_bytes = stream_mb * 1024.0 * 1024.0;
     scfg.grow_to_window = true;
@@ -450,11 +450,12 @@ int cmd_solve(const Args& args) {
     streamer = streamed.streamer;
     shared_basis = streamed.info.shared_basis;
     std::printf("streaming %s: %.1f MiB payload in %lld shard(s), budget "
-                "%.1f MiB (window %.1f MiB)\n",
+                "%.1f MiB (window %.1f MiB, pinned %.1f MiB)\n",
                 path.c_str(), streamed.info.payload_bytes / (1024.0 * 1024.0),
                 static_cast<long long>(streamer->plan().num_shards()),
                 streamer->budget_bytes() / (1024.0 * 1024.0),
-                streamer->plan().window_bytes() / (1024.0 * 1024.0));
+                streamer->plan().window_bytes() / (1024.0 * 1024.0),
+                streamer->plan().pinned_bytes() / (1024.0 * 1024.0));
   } else {
     const auto archive = io::load_archive(path);
     op = io::make_operator(archive);
