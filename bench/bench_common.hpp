@@ -86,19 +86,6 @@ inline RecordedRun recorded_cluster_run(const wse::RankSource& source,
   RecordedRun out;
   out.report = wse::simulate_cluster(source, cfg);
   out.flight = recorder.report();
-  if (out.flight.launches == 0 && out.report.pes_used > 0) {
-    // -DTLRWSE_TRACING=OFF compiles the recording hooks away. Backfill the
-    // aggregate view from the cluster report so the tables still print in
-    // that build shape (per-PE detail and heatmaps stay empty).
-    auto& fused =
-        out.flight.phases[static_cast<std::size_t>(obs::Phase::kFusedColumn)];
-    fused.samples = static_cast<std::uint64_t>(out.report.pes_used);
-    fused.max_cycles = out.report.worst_cycles;
-    fused.relative_bytes = out.report.relative_bytes;
-    fused.absolute_bytes = out.report.absolute_bytes;
-    fused.flops = out.report.flops;
-    out.flight.pes = out.report.pes_used;
-  }
   return out;
 }
 

@@ -296,8 +296,7 @@ int main(int argc, char** argv) {
   }
   const double sim_base_s = min_of(sim_base_trials);
   const double sim_rec_s = min_of(sim_rec_trials);
-  double sim_pct = paired_overhead_pct(sim_base_trials, sim_rec_trials);
-  if (!obs::FlightRecorder::compiled_in()) sim_pct = 0.0;  // hooks are no-ops
+  const double sim_pct = paired_overhead_pct(sim_base_trials, sim_rec_trials);
   const bool sim_pass = sim_pct < 2.0;
   const std::uint64_t sim_chunks = recorder.samples();
 
@@ -323,8 +322,7 @@ int main(int argc, char** argv) {
     cm_rec_trials.push_back(
         time_sim_trial(cm_source, cluster, &cm_recorder, cm_reps));
   }
-  double cm_pct = paired_overhead_pct(cm_base_trials, cm_rec_trials);
-  if (!obs::FlightRecorder::compiled_in()) cm_pct = 0.0;
+  const double cm_pct = paired_overhead_pct(cm_base_trials, cm_rec_trials);
 
   std::cout << "{\"bench\":\"obs_overhead\"," << bench::json_meta_fields()
             << ",\"nt\":" << kNt << ",\"num_freq\":" << kNumFreq

@@ -5,8 +5,9 @@
 // waits for its response before sending the next request). The operator is
 // made resident by a warm-up request, so the sweep measures the serving
 // path — admission, batching, solve — not the one-time archive load. One
-// JSON line per client count carries requests/s plus the p50/p95/p99
-// latency digest straight from the service metrics. Usage:
+// JSON line per client count carries requests/s, the batching counters of
+// the service's registry snapshot, and exact p50/p95/p99 latency computed
+// from the timed responses themselves (warm-up excluded). Usage:
 //
 //   ./bench_serve_throughput [max_clients] [requests_per_client]
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "tlrwse/common/stats.hpp"
 #include "tlrwse/common/timer.hpp"
 #include "tlrwse/io/archive.hpp"
 #include "tlrwse/mdd/mdd_solver.hpp"
@@ -41,6 +43,8 @@ struct SweepPoint {
   std::uint64_t rejected = 0;
   double wall_s = 0.0;
   serve::ServiceMetrics metrics;
+  LatencySummary latency;     // admission -> response of the timed kOk replies
+  LatencySummary queue_wait;  // admission -> dequeue of the same replies
 };
 
 SweepPoint run_point(const serve::OperatorKey& key,
@@ -71,11 +75,15 @@ SweepPoint run_point(const serve::OperatorKey& key,
   (void)service.submit(request(0)).get();
 
   WallTimer timer;
+  std::vector<serve::SolveResponse> responses(
+      static_cast<std::size_t>(clients * per_client));
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       for (int r = 0; r < per_client; ++r) {
-        (void)service.submit(request(c * per_client + r)).get();
+        const int j = c * per_client + r;
+        responses[static_cast<std::size_t>(j)] =
+            service.submit(request(j)).get();
       }
     });
   }
@@ -85,27 +93,36 @@ SweepPoint run_point(const serve::OperatorKey& key,
   p.clients = clients;
   p.wall_s = timer.seconds();
   p.metrics = service.metrics();
-  p.completed = p.metrics.counters.completed - 1;  // minus the warm-up
-  p.rejected = p.metrics.counters.rejected_queue_full +
-               p.metrics.counters.rejected_deadline;
+  const auto& counters = p.metrics.snapshot.counters;
+  p.completed = counters.at("serve.completed") - 1;  // minus the warm-up
+  p.rejected = counters.at("serve.rejected_queue_full") +
+               counters.at("serve.rejected_deadline");
+  std::vector<double> latency, queue_wait;
+  for (const auto& r : responses) {
+    if (r.status != serve::SolveStatus::kOk) continue;
+    latency.push_back(r.total_s);
+    queue_wait.push_back(r.queue_wait_s);
+  }
+  p.latency = summarize_latencies(latency);
+  p.queue_wait = summarize_latencies(queue_wait);
   return p;
 }
 
 void print_point(const SweepPoint& p) {
-  const auto& m = p.metrics;
+  const auto& counters = p.metrics.snapshot.counters;
   const double rps =
       p.wall_s > 0.0 ? static_cast<double>(p.completed) / p.wall_s : 0.0;
   std::cout << "{\"clients\":" << p.clients << ",\"completed\":" << p.completed
             << ",\"rejected\":" << p.rejected << ",\"wall_s\":" << p.wall_s
             << ",\"requests_per_sec\":" << rps
-            << ",\"batches\":" << m.counters.batches
-            << ",\"coalesced_requests\":" << m.counters.coalesced
-            << ",\"cache_hit_rate\":" << m.cache.hit_rate()
-            << ",\"latency_p50_s\":" << m.latency.p50
-            << ",\"latency_p95_s\":" << m.latency.p95
-            << ",\"latency_p99_s\":" << m.latency.p99
-            << ",\"latency_mean_s\":" << m.latency.mean
-            << ",\"queue_wait_p95_s\":" << m.queue_wait.p95 << "}\n";
+            << ",\"batches\":" << counters.at("serve.batches")
+            << ",\"coalesced_requests\":" << counters.at("serve.coalesced")
+            << ",\"cache_hit_rate\":" << p.metrics.cache.hit_rate()
+            << ",\"latency_p50_s\":" << p.latency.p50
+            << ",\"latency_p95_s\":" << p.latency.p95
+            << ",\"latency_p99_s\":" << p.latency.p99
+            << ",\"latency_mean_s\":" << p.latency.mean
+            << ",\"queue_wait_p95_s\":" << p.queue_wait.p95 << "}\n";
 }
 
 }  // namespace

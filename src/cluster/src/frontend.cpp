@@ -838,13 +838,9 @@ std::vector<ClusterService::WorkerHealth> ClusterService::fleet_health() {
 
 std::string ClusterService::fleet_health_json() {
   const std::vector<WorkerHealth> fleet = fleet_health();
-  const obs::SloTracker::Window win = slo_window();
   std::ostringstream os;
   os << "{\"live_workers\":" << live_workers()
-     << ",\"slo\":{\"count\":" << win.count << ",\"errors\":" << win.errors
-     << ",\"breaches\":" << win.breaches << ",\"p50_s\":" << win.p50_s
-     << ",\"p95_s\":" << win.p95_s << ",\"p99_s\":" << win.p99_s
-     << ",\"burn_rate\":" << win.burn_rate << "},\"workers\":[";
+     << ",\"slo\":" << slo_window().to_json() << ",\"workers\":[";
   for (std::size_t w = 0; w < fleet.size(); ++w) {
     const WorkerHealth& wh = fleet[w];
     if (w != 0) os << ",";

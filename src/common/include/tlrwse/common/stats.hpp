@@ -1,9 +1,10 @@
-// Order-statistics helpers for the serving metrics (p50/p95/p99 latency).
+// Order-statistics helpers for a run's own latencies (p50/p95/p99).
 //
-// Nearest-rank percentiles over small sample sets: the solve service keeps
-// every request latency of a run (closed-loop benches are a few thousand
-// samples at most), so an exact sort beats a streaming sketch in both code
-// and fidelity.
+// Nearest-rank percentiles over small sample sets: a load driver (the CLI's
+// serve command, bench_serve_throughput) summarises the latencies of the
+// responses it already holds (a few thousand samples at most), so an exact
+// sort beats a streaming sketch in both code and fidelity. The service
+// itself keeps no samples; its registry has octave histograms.
 #pragma once
 
 #include <algorithm>

@@ -18,9 +18,6 @@
 //   * downsampled PE-grid heatmaps per phase (fabric coordinates binned
 //     into a fixed grid, accumulated across systems).
 //
-// The recording hook sites compile away under -DTLRWSE_TRACING=OFF via
-// TLRWSE_FLIGHT_RECORD (mirroring the tracer macros); the class itself is
-// always compiled so reports and benches link in every configuration.
 // record() is plain non-atomic accumulation: the simulators that feed it
 // are single-threaded chunk streams. Attach one recorder per run.
 #pragma once
@@ -184,17 +181,6 @@ class FlightRecorder {
   }
   [[nodiscard]] std::uint64_t samples() const noexcept { return launches_; }
 
-  /// True when the simulators' recording hook sites are compiled in
-  /// (TLRWSE_TRACING=ON). With OFF the hooks are no-ops and reports from
-  /// an attached recorder come back empty.
-  [[nodiscard]] static constexpr bool compiled_in() noexcept {
-#ifdef TLRWSE_TRACING_ENABLED
-    return true;
-#else
-    return false;
-#endif
-  }
-
  private:
   FlightRecorderConfig cfg_;
   std::uint64_t launches_ = 0;
@@ -213,16 +199,12 @@ void export_flight_counters(const FlightReport& report);
 
 }  // namespace tlrwse::obs
 
-/// Hook-site macro: records into `rec` (a FlightRecorder*) when tracing is
-/// compiled in, compiles to nothing under -DTLRWSE_TRACING=OFF. The sample
-/// argument must be parenthesised by the caller when it contains commas.
-#ifdef TLRWSE_TRACING_ENABLED
+/// Hook-site macro: records into `rec` (a FlightRecorder*) when one is
+/// attached. The sample argument must be parenthesised by the caller when
+/// it contains commas.
 #define TLRWSE_FLIGHT_RECORD(rec, phase, pe, sample)   \
   do {                                                 \
     if ((rec) != nullptr) {                            \
       (rec)->record((phase), (pe), (sample));          \
     }                                                  \
   } while (0)
-#else
-#define TLRWSE_FLIGHT_RECORD(rec, phase, pe, sample) ((void)0)
-#endif

@@ -7,11 +7,10 @@
 // takes a mutex, so instrumentation sites resolve their handle once
 // (function-local static or stored member) and reuse it.
 //
-// The registry generalises the one-off stats structs that grew in
-// serve/metrics.hpp: the solve service now derives its ServiceCounters
-// from a registry instance, and the tlr/mdc/mdd libraries record into the
-// process-wide instance() so any binary can dump one JSON object covering
-// compression, MVM, and solver activity.
+// The solve engine keeps every lifecycle metric in a per-service registry
+// instance (its only metrics store), and the tlr/mdc/mdd libraries record
+// into the process-wide instance() so any binary can dump one JSON object
+// covering compression, MVM, and solver activity.
 #pragma once
 
 #include <array>

@@ -68,6 +68,10 @@ class SloTracker {
     /// Bad-request fraction over the allowed fraction; 0 when the window
     /// is empty.
     double burn_rate = 0.0;
+
+    /// {"count","errors","breaches","p50_s","p95_s","p99_s","max_s",
+    /// "burn_rate"}: the "slo" block of every health document.
+    [[nodiscard]] std::string to_json() const;
   };
   [[nodiscard]] Window window() const;
   [[nodiscard]] Window window_at(double now_s) const;

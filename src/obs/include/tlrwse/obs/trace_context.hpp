@@ -5,9 +5,8 @@
 // frontend mints one trace id per sampled request, workers stamp it on the
 // spans they record, and a later kTraceDump exchange returns those spans to
 // the frontend for merging (trace_merge.hpp). The context is independent of
-// the compile-time TLRWSE_TRACING macro layer — request tracing is a
-// per-request sampling decision, not a build flavour — so merged timelines
-// work even in -DTLRWSE_TRACING=OFF builds.
+// the process-wide Tracer: request tracing is a per-request sampling
+// decision, so merged timelines work whether or not the Tracer is enabled.
 //
 // RemoteSpan timestamps are raw steady_clock nanoseconds of the *recording*
 // process; they only become comparable after the merger applies the

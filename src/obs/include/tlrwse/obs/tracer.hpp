@@ -3,10 +3,7 @@
 // Spans are recorded into fixed-capacity per-thread ring buffers (no locks,
 // no allocation on the hot path once a thread's buffer exists), merged and
 // sorted only when the trace is dumped. The fast path when tracing is not
-// enabled is a single relaxed atomic load, and when the build is configured
-// with -DTLRWSE_TRACING=OFF the instrumentation macros compile away
-// entirely (see the macro layer at the bottom; obs::noop keeps the no-op
-// types compilable in every build so tests can cover both shapes).
+// enabled is a single relaxed atomic load.
 //
 // Span names and categories must be string literals (or otherwise outlive
 // the tracer): events store the pointers, not copies.
@@ -175,17 +172,6 @@ class ScopedSpan {
   std::uint64_t start_ = 0;
 };
 
-/// Always-compiled no-op twins of the tracing types, used by the macro
-/// layer when TLRWSE_TRACING is OFF and by tests that pin down the no-op
-/// shape compiling and linking in every configuration.
-namespace noop {
-class Span {
- public:
-  explicit Span(const char*, const char* = "") noexcept {}
-};
-inline void counter(const char*, double) noexcept {}
-}  // namespace noop
-
 }  // namespace tlrwse::obs
 
 // ------------------------------------------------------------------------
@@ -194,7 +180,6 @@ inline void counter(const char*, double) noexcept {}
 #define TLRWSE_OBS_CONCAT2(a, b) a##b
 #define TLRWSE_OBS_CONCAT(a, b) TLRWSE_OBS_CONCAT2(a, b)
 
-#ifdef TLRWSE_TRACING_ENABLED
 #define TLRWSE_TRACE_SPAN(name, cat)             \
   ::tlrwse::obs::ScopedSpan TLRWSE_OBS_CONCAT(   \
       tlrwse_span_, __LINE__)(name, cat)
@@ -207,10 +192,3 @@ inline void counter(const char*, double) noexcept {}
       ::tlrwse::obs::Tracer::instance().counter(name, value); \
     }                                                         \
   } while (0)
-#else
-#define TLRWSE_TRACE_SPAN(name, cat) \
-  ::tlrwse::obs::noop::Span TLRWSE_OBS_CONCAT(tlrwse_span_, __LINE__)(name, cat)
-#define TLRWSE_TRACE_SPAN_DETAIL(name, cat) \
-  ::tlrwse::obs::noop::Span TLRWSE_OBS_CONCAT(tlrwse_span_, __LINE__)(name, cat)
-#define TLRWSE_TRACE_COUNTER(name, value) ((void)0)
-#endif

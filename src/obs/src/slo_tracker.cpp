@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <system_error>
 
 #ifdef _WIN32
@@ -156,6 +157,15 @@ std::string SloTracker::persist_exemplar(std::uint64_t request_id,
     }
   }
   return final_path.string();
+}
+
+std::string SloTracker::Window::to_json() const {
+  std::ostringstream os;
+  os << "{\"count\":" << count << ",\"errors\":" << errors
+     << ",\"breaches\":" << breaches << ",\"p50_s\":" << p50_s
+     << ",\"p95_s\":" << p95_s << ",\"p99_s\":" << p99_s
+     << ",\"max_s\":" << max_s << ",\"burn_rate\":" << burn_rate << '}';
+  return os.str();
 }
 
 void SloTracker::publish(MetricsRegistry& reg, std::string_view prefix) const {

@@ -1,7 +1,7 @@
 // ShardStreamer: the prefetching stream behind a streamed MdcOperator.
 //
 // It runs the StreamPlan's static schedule. The pinned prefix loads once,
-// in sweep order, and is never evicted; every other shard streams through
+// as one slice, and is never evicted; every other shard streams through
 // a ring and is dropped as soon as the consumer releases it. A background
 // thread loads the next absent shard in sweep order as soon as it fits the
 // budget, while the consumer's OpenMP team computes the current one, so

@@ -7,9 +7,10 @@
 // basis residency), and the solve repeats sweeps until convergence. With
 // the order known, the schedule that moves the fewest bytes under a budget
 // is static, the fast/slow-memory schedule the paper runs on 48 kB PE
-// scratchpads: each granule is one shard; the longest prefix that fits
-// beside the ring window is pinned, loaded once and never evicted; every
-// other shard streams through a ring in sweep order, where the shard being
+// scratchpads: the longest prefix of granules that fits beside the ring
+// window is pinned as one shard, loaded once and never evicted, and
+// computed in one parallel region; every other granule is its own shard
+// and streams through a ring in sweep order, where the shard being
 // computed and the one being prefetched must fit together. A steady sweep
 // therefore reads total_bytes() - pinned_bytes() and nothing else.
 #pragma once
@@ -23,8 +24,8 @@
 
 namespace tlrwse::oocache {
 
-/// One planned shard: one granule, a run of consecutive frequencies loaded
-/// and dropped as a unit.
+/// One planned shard, a run of consecutive frequencies loaded and dropped
+/// as a unit: the pinned prefix of granules, or one ring granule.
 struct StreamShard {
   index_t q_begin = 0;  // frequency range [q_begin, q_end)
   index_t q_end = 0;
@@ -38,9 +39,10 @@ struct StreamPlanConfig {
 class StreamPlan {
  public:
   StreamPlan() = default;
-  /// Pins the longest prefix of `shards` for which pinned bytes plus the
-  /// ring window fit cfg.budget_bytes, or nothing when even an empty prefix
-  /// does not fit (the streamer then rejects or grows the budget).
+  /// Takes one shard per granule and pins the longest prefix for which
+  /// pinned bytes plus the ring window fit cfg.budget_bytes, merged into
+  /// shard 0; pins nothing when even an empty prefix does not fit (the
+  /// streamer then rejects or grows the budget).
   StreamPlan(std::vector<StreamShard> shards, StreamPlanConfig cfg);
 
   [[nodiscard]] const std::vector<StreamShard>& shards() const noexcept {
@@ -56,8 +58,8 @@ class StreamPlan {
     return shards_.empty() ? 0 : shards_.back().q_end;
   }
   [[nodiscard]] double total_bytes() const noexcept { return total_; }
-  /// Shards [0, pinned_shards()) stay resident for the stream's lifetime;
-  /// the rest form the ring.
+  /// 1 when shard 0 is the pinned prefix, resident for the stream's
+  /// lifetime, else 0; the remaining shards form the ring.
   [[nodiscard]] index_t pinned_shards() const noexcept { return pinned_; }
   [[nodiscard]] double pinned_bytes() const noexcept { return pinned_bytes_; }
   /// pinned_bytes() plus the largest two ring shards adjacent in the
@@ -81,7 +83,7 @@ class StreamPlan {
 };
 
 /// Compiles a plan from the granule extents of one archive peek
-/// (peek_archive_extents), one shard per granule. Whether the budget holds
+/// (peek_archive_extents). Whether the budget holds
 /// the plan's window is checked where the stream is built, not here.
 [[nodiscard]] StreamPlan compile_stream_plan(const io::ArchiveInfo& info,
                                              const StreamPlanConfig& cfg);

@@ -34,15 +34,25 @@ StreamPlan::StreamPlan(std::vector<StreamShard> shards, StreamPlanConfig cfg)
   // A longer prefix never needs less than an empty one, so when p = 0 does
   // not fit nothing does and the plan pins nothing.
   window_ = ring_window(0);
+  std::size_t pinned_granules = 0;
   double prefix = 0.0;
   for (std::size_t p = 1; p <= n; ++p) {
     prefix += shards_[p - 1].bytes;
     const double window = prefix + ring_window(p);
     if (window <= cfg.budget_bytes) {
-      pinned_ = static_cast<index_t>(p);
+      pinned_granules = p;
       pinned_bytes_ = prefix;
       window_ = window;
     }
+  }
+  // The pinned granules become one shard: it loads as one slice and the
+  // sweep computes it in one parallel region across the whole team.
+  if (pinned_granules > 0) {
+    shards_[0] = StreamShard{0, shards_[pinned_granules - 1].q_end,
+                             pinned_bytes_};
+    const auto first_ring = static_cast<std::ptrdiff_t>(pinned_granules);
+    shards_.erase(shards_.begin() + 1, shards_.begin() + first_ring);
+    pinned_ = 1;
   }
 }
 

@@ -21,8 +21,10 @@
 // (serve::LocalSource) resolves it through the OperatorCache into a
 // resident or streamed MdcOperator, the remote source
 // (cluster::RemoteSource) into a placement on a worker fleet and one
-// RemoteMdcOperator per request. Every counter lands in the caller's
-// registry under the source's prefix ("serve.*" / "cluster.*").
+// RemoteMdcOperator per request. Every counter, gauge and histogram lands
+// in the caller's registry under the source's prefix ("serve.*" /
+// "cluster.*"); that registry is the engine's only metrics store, and no
+// per-request state outlives the response.
 #pragma once
 
 #include <atomic>
@@ -43,7 +45,6 @@
 #include "tlrwse/obs/stage_breakdown.hpp"
 #include "tlrwse/obs/trace_merge.hpp"
 #include "tlrwse/serve/admission_queue.hpp"
-#include "tlrwse/serve/metrics.hpp"
 #include "tlrwse/serve/operator_cache.hpp"
 #include "tlrwse/serve/task_executor.hpp"
 
@@ -205,9 +206,6 @@ class Frontend {
   /// Idempotent; the destructor calls it.
   void shutdown();
 
-  /// Lifecycle counters and exact latency digests; `cache` stays empty
-  /// (the local facade fills it).
-  [[nodiscard]] ServiceMetrics metrics() const;
   /// The rolling SLO window (p50/p95/p99, error-budget burn rate).
   [[nodiscard]] obs::SloTracker::Window slo_window() const {
     return slo_.window();
@@ -273,11 +271,6 @@ class Frontend {
   /// Cancel flags of every request not yet answered.
   std::unordered_map<std::uint64_t, std::shared_ptr<std::atomic<bool>>>
       live_;
-
-  // Exact per-request samples of kOk responses (the histograms above are
-  // octave-bucketed; LatencySummary wants exact quantiles).
-  mutable std::mutex latency_mu_;
-  std::vector<double> latency_s_, queue_wait_s_, solve_s_;
 
   TaskExecutor exec_;  // declared last: workers must see live members above
   std::vector<std::future<void>> worker_futures_;

@@ -59,7 +59,7 @@ struct OperatorKeyHash {
 /// Streamed entries (archives bigger than the service's residency cap)
 /// also hold their prefetcher; the cache charges them their stream budget
 /// — priced from one extents peek — rather than the full payload, which is
-/// exactly what admits an over-budget archive as long as one double-buffer
+/// exactly what admits an over-budget archive as long as the stream plan's
 /// window fits.
 struct ResidentOperator {
   std::unique_ptr<mdc::MdcOperator> op;

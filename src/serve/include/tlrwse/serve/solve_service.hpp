@@ -14,18 +14,21 @@
 // The request lifecycle (admission, batching, deadlines, coalescing, SLO)
 // is serve::Frontend's; this file holds the local OperatorSource — cache
 // lookup, archive load into a resident or streamed MdcOperator, inner
-// thread cap, cache gauges — and the SolveService facade that wires the
-// two together under the "serve.*" metric names.
+// thread cap, "serve.cache.*" gauges — and the SolveService facade that
+// wires the two together under the "serve.*" metric names. The service's
+// registry is its one metrics store: metrics_json(), the Prometheus dump
+// and every CLI printout render the same snapshot.
 #pragma once
 
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "tlrwse/obs/metrics_registry.hpp"
 #include "tlrwse/obs/slo_tracker.hpp"
 #include "tlrwse/serve/frontend.hpp"
-#include "tlrwse/serve/metrics.hpp"
 #include "tlrwse/serve/operator_cache.hpp"
 
 namespace tlrwse::serve {
@@ -35,12 +38,12 @@ struct ServiceConfig {
   std::size_t queue_capacity = 64;     // admission bound (backpressure)
   std::size_t max_batch = 8;           // per-operator coalescing limit
   double cache_budget_bytes = 512.0 * 1024.0 * 1024.0;
-  std::size_t cache_shards = 8;
   /// Residency cap per operator. 0 keeps every archive fully resident.
   /// Positive: archives whose compressed payload exceeds it are served
   /// out-of-core through a ShardStreamer with this byte budget — the cache
   /// charges the budget, not the payload — and rejected (typed load
-  /// failure) only when even one double-buffer window cannot fit.
+  /// failure) only when the stream plan's window (the pinned prefix plus
+  /// the largest pair of adjacent ring shards) cannot fit.
   double max_resident_bytes = 0.0;
   /// OpenMP team size of each solve's frequency loop; 0 divides the
   /// machine evenly between workers (never oversubscribing workers x
@@ -69,14 +72,22 @@ class LocalSource final : public OperatorSource {
 
  private:
   [[nodiscard]] OperatorCache::Value load(const OperatorKey& key) const;
+  /// Copies the cache's stats into the serve.cache.* gauges.
+  void publish_cache_stats();
 
   double max_resident_bytes_;
   int inner_threads_;
   OperatorCache cache_;
-  // Resident operator bytes as stored (packed) vs stored-uniformly-fp32;
-  // the gap is the mixed-precision capacity win of half archives.
-  obs::Gauge& cache_packed_gauge_;
-  obs::Gauge& cache_fp32_gauge_;
+  /// One gauge per CacheStats field, in kCacheGauges order.
+  std::vector<obs::Gauge*> cache_gauges_;
+  std::mutex publish_mu_;
+};
+
+/// The registry snapshot plus the cache's own stats, whose ratios
+/// (hit_rate, datasets_per_gb) the integer gauges cannot carry.
+struct ServiceMetrics {
+  obs::MetricsRegistry::Snapshot snapshot;
+  CacheStats cache;
 };
 
 class SolveService {
@@ -98,17 +109,21 @@ class SolveService {
   /// Idempotent; the destructor calls it.
   void shutdown() { engine_.shutdown(); }
 
-  [[nodiscard]] ServiceMetrics metrics() const;
-  [[nodiscard]] std::string metrics_json() const { return metrics().to_json(); }
+  [[nodiscard]] ServiceMetrics metrics() const {
+    return {registry_.snapshot(), source_.cache().stats()};
+  }
+  /// The registry snapshot as JSON (MetricsRegistry::Snapshot::to_json).
+  [[nodiscard]] std::string metrics_json() const {
+    return registry_.snapshot().to_json();
+  }
   [[nodiscard]] const OperatorCache& cache() const noexcept {
     return source_.cache();
   }
   [[nodiscard]] const ServiceConfig& config() const noexcept { return cfg_; }
 
-  /// The registry backing every lifecycle counter/histogram ("serve.*").
-  /// ServiceMetrics::counters is derived from it, so a snapshot here and
-  /// metrics() agree bitwise. Each service owns its registry so
-  /// concurrent instances never mix numbers.
+  /// The registry backing every lifecycle counter, gauge and histogram
+  /// ("serve.*", cache gauges under "serve.cache.*"). Each service owns
+  /// its registry so concurrent instances never mix numbers.
   [[nodiscard]] const obs::MetricsRegistry& registry() const noexcept {
     return registry_;
   }

@@ -414,10 +414,6 @@ void Frontend::respond(Ticket& ticket, SolveResponse r) {
     latency_hist_.record(r.total_s);
     queue_wait_hist_.record(r.queue_wait_s);
     solve_hist_.record(r.solve_s);
-    std::lock_guard<std::mutex> lock(latency_mu_);
-    latency_s_.push_back(r.total_s);
-    queue_wait_s_.push_back(r.queue_wait_s);
-    solve_s_.push_back(r.solve_s);
   }
   record_slo(r);
   {
@@ -444,31 +440,6 @@ void Frontend::record_slo(const SolveResponse& r) {
   if (!r.trace_json.empty()) os << ",\"trace\":" << r.trace_json;
   os << "}";
   (void)slo_.persist_exemplar(r.request_id, os.str());
-}
-
-ServiceMetrics Frontend::metrics() const {
-  // Every counter reads through the registry handle, so a snapshot of the
-  // registry taken at the same quiescent point agrees bitwise.
-  const auto outcome = [this](SolveStatus s) {
-    return outcomes_[static_cast<std::size_t>(s)]->value();
-  };
-  ServiceMetrics m;
-  m.counters.submitted = submitted_.value();
-  m.counters.admitted = admitted_.value();
-  m.counters.completed = outcome(SolveStatus::kOk);
-  m.counters.rejected_queue_full = outcome(SolveStatus::kQueueFull);
-  m.counters.rejected_deadline = outcome(SolveStatus::kDeadlineExceeded);
-  m.counters.rejected_archive_missing = outcome(SolveStatus::kArchiveMissing);
-  m.counters.failed = outcome(SolveStatus::kError);
-  m.counters.batches = batches_.value();
-  m.counters.coalesced = coalesced_.value();
-  m.counters.queue_depth = queue_.depth();
-  m.counters.queue_peak_depth = queue_.peak_depth();
-  std::lock_guard<std::mutex> lock(latency_mu_);
-  m.latency = summarize_latencies(latency_s_);
-  m.queue_wait = summarize_latencies(queue_wait_s_);
-  m.solve = summarize_latencies(solve_s_);
-  return m;
 }
 
 }  // namespace tlrwse::serve

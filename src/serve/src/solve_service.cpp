@@ -1,7 +1,9 @@
 #include "tlrwse/serve/solve_service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
+#include <iterator>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -24,6 +26,24 @@ int default_inner_threads(int workers) {
   (void)workers;
   return 1;
 #endif
+}
+
+/// serve.cache.* gauge suffixes, in cache_values() order.
+constexpr const char* kCacheGauges[] = {
+    "hits", "misses", "loads", "load_failures", "evictions", "bytes_evicted",
+    "entries", "budget_bytes",
+    // Resident operator bytes as stored (packed) vs stored uniformly fp32;
+    // the gap is the mixed-precision capacity win of half archives.
+    "packed_bytes", "fp32_equiv_bytes",
+};
+
+std::array<std::int64_t, std::size(kCacheGauges)> cache_values(
+    const CacheStats& cs) {
+  const auto i = [](auto v) { return static_cast<std::int64_t>(v); };
+  return {i(cs.hits),          i(cs.misses),    i(cs.loads),
+          i(cs.load_failures), i(cs.evictions), i(cs.bytes_evicted),
+          i(cs.entries),       i(cs.budget_bytes),
+          i(cs.bytes_resident), i(cs.bytes_resident_fp32)};
 }
 
 ServiceConfig resolved(ServiceConfig cfg) {
@@ -64,9 +84,23 @@ LocalSource::LocalSource(const ServiceConfig& cfg,
                          obs::MetricsRegistry& registry)
     : max_resident_bytes_(cfg.max_resident_bytes),
       inner_threads_(resolved(cfg).inner_threads),
-      cache_(cfg.cache_budget_bytes, cfg.cache_shards),
-      cache_packed_gauge_(registry.gauge("serve.cache.packed_bytes")),
-      cache_fp32_gauge_(registry.gauge("serve.cache.fp32_equiv_bytes")) {}
+      cache_(cfg.cache_budget_bytes) {
+  for (const char* name : kCacheGauges) {
+    cache_gauges_.push_back(
+        &registry.gauge(std::string("serve.cache.") + name));
+  }
+  publish_cache_stats();
+}
+
+void LocalSource::publish_cache_stats() {
+  // Stats are read under the lock, so the last publisher always writes the
+  // newest values: the gauges match stats() at any quiescent point.
+  const std::lock_guard<std::mutex> lock(publish_mu_);
+  const auto values = cache_values(cache_.stats());
+  for (std::size_t g = 0; g < values.size(); ++g) {
+    cache_gauges_[g]->set(values[g]);
+  }
+}
 
 std::unique_ptr<OperatorSource::Lease> LocalSource::acquire(
     const OperatorKey& key) {
@@ -74,15 +108,14 @@ std::unique_ptr<OperatorSource::Lease> LocalSource::acquire(
   try {
     resident = cache_.get_or_load(key, [&] { return load(key); });
   } catch (const std::exception& e) {
+    publish_cache_stats();  // counts the load failure
     // The archive can vanish between the admission peek and the load.
     throw SourceError(std::filesystem::exists(key.archive_id)
                           ? SolveStatus::kError
                           : SolveStatus::kArchiveMissing,
                       e.what());
   }
-  const CacheStats cs = cache_.stats();
-  cache_packed_gauge_.set(static_cast<std::int64_t>(cs.bytes_resident));
-  cache_fp32_gauge_.set(static_cast<std::int64_t>(cs.bytes_resident_fp32));
+  publish_cache_stats();
   return std::make_unique<LocalLease>(std::move(resident));
 }
 
@@ -152,11 +185,5 @@ SolveService::SolveService(ServiceConfig cfg)
               source_, registry_) {}
 
 SolveService::~SolveService() { shutdown(); }
-
-ServiceMetrics SolveService::metrics() const {
-  ServiceMetrics m = engine_.metrics();
-  m.cache = source_.cache().stats();
-  return m;
-}
 
 }  // namespace tlrwse::serve

@@ -38,8 +38,7 @@ class TlrRankSource final : public RankSource {
 /// width, with each chunk's arithmetic performed as the eight split-real
 /// MVMs of Sec. 6.6 and partial results host-reduced. When a flight
 /// recorder is attached, every chunk launch records its cost-model sample
-/// (one PE per chunk, the fused column phase); the hook compiles away
-/// under -DTLRWSE_TRACING=OFF.
+/// (one PE per chunk, the fused column phase).
 [[nodiscard]] std::vector<cf32> functional_wse_mvm(
     const tlr::StackedTlr<cf32>& A, index_t stack_width,
     std::span<const cf32> x, obs::FlightRecorder* recorder = nullptr);

@@ -27,8 +27,7 @@ struct ClusterConfig {
   /// 0 = derive the system count from the PE demand; otherwise fixed.
   index_t systems = 0;
   /// When set, every simulated PE launch is recorded (phase kFusedColumn,
-  /// one sample per PE). Null costs nothing; the hook sites also compile
-  /// away entirely under -DTLRWSE_TRACING=OFF.
+  /// one sample per PE). Null costs nothing.
   obs::FlightRecorder* recorder = nullptr;
 };
 

@@ -65,7 +65,6 @@ BspReport simulate_bsp_3phase(const RankSource& source, const IpuSpec& spec,
 
   rep.total_sec = rep.compute_sec + rep.exchange_sec + rep.barrier_sec;
 
-#ifdef TLRWSE_TRACING_ENABLED
   if (recorder != nullptr) {
     // One sample per device per superstep (the model assumes perfect
     // balance within a superstep), cycles on the IPU clock with the
@@ -95,9 +94,6 @@ BspReport simulate_bsp_3phase(const RankSource& source, const IpuSpec& spec,
       recorder->record(obs::Phase::kUMvm, d, u);
     }
   }
-#else
-  (void)recorder;
-#endif
   return rep;
 }
 

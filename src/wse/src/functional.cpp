@@ -62,15 +62,10 @@ std::vector<cf32> functional_wse_mvm(const tlr::StackedTlr<cf32>& A,
   } source;
   source.stacks = &A;
 
-#ifdef TLRWSE_TRACING_ENABLED
   index_t pe_index = 0;  // one PE per chunk, strategy-1 style
   const CostModelParams cost{};
-#else
-  (void)recorder;
-#endif
 
   for_each_chunk(source, stack_width, [&](const Chunk& c) {
-#ifdef TLRWSE_TRACING_ENABLED
     if (recorder != nullptr) {
       // The chunk's eight MVM shapes (4x V, 4x U), computed in place: the
       // heap-allocating chunk_mvm_shapes() would dominate the hook cost.
@@ -99,7 +94,6 @@ std::vector<cf32> functional_wse_mvm(const tlr::StackedTlr<cf32>& A,
                         static_cast<double>(chunk_sram_bytes_strategy1(c))});
     }
     ++pe_index;
-#endif
     const index_t j = c.tile_col;
     const auto& vs = A.v_stack(j);
     const cf32* xj = x.data() + g.col_offset(j);

@@ -68,7 +68,6 @@ ClusterReport simulate_cluster(const RankSource& source,
       const double sram = static_cast<double>(chunk_sram_bytes_strategy2(c));
       rep.worst_cycles = std::max(rep.worst_cycles, per_pe);
       rep.max_sram_bytes = std::max(rep.max_sram_bytes, sram);
-#ifdef TLRWSE_TRACING_ENABLED
       if (cfg.recorder != nullptr) {
         // The interleaved scatter balances cycles and traffic alike, so
         // each of the eight PEs carries 1/8 of the chunk.
@@ -77,7 +76,6 @@ ClusterReport simulate_cluster(const RankSource& source,
         cfg.recorder->record_span(obs::Phase::kFusedColumn, pe_index, 8,
                                   sample);
       }
-#endif
       pe_index += 8;
     }
   });

@@ -90,9 +90,6 @@ class RaggedSource final : public RankSource {
 // shapes) must equal flops/bytes of the simulator totals — this is the
 // identity bench_fig15_roofline relies on to place the TLR-MVM point.
 TEST(CostConsistency, RecorderAggregateIntensityMatchesSimulator) {
-  if (!obs::FlightRecorder::compiled_in()) {
-    GTEST_SKIP() << "TLRWSE_TRACING=OFF";
-  }
   RaggedSource src;
   for (Strategy strategy :
        {Strategy::kSplitStackWidth, Strategy::kScatterRealMvms}) {

@@ -133,7 +133,6 @@ TEST(FlightRecorder, SpanSplitsAcrossSystemBoundary) {
 // accounting exactly — the paper benches derive every Table 3 number from
 // the recorder instead of ClusterReport, so disagreement is data loss.
 TEST(FlightRecorder, AgreesWithClusterReportStrategy1) {
-  if (!FlightRecorder::compiled_in()) GTEST_SKIP() << "TLRWSE_TRACING=OFF";
   GridSource src(700, 500, 50, 4, 8);
   ClusterConfig cfg;
   cfg.stack_width = 32;
@@ -161,7 +160,6 @@ TEST(FlightRecorder, AgreesWithClusterReportStrategy1) {
 }
 
 TEST(FlightRecorder, AgreesWithClusterReportStrategy2) {
-  if (!FlightRecorder::compiled_in()) GTEST_SKIP() << "TLRWSE_TRACING=OFF";
   GridSource src(700, 500, 50, 4, 8);
   ClusterConfig cfg;
   cfg.stack_width = 32;
@@ -195,7 +193,6 @@ TEST(FlightRecorder, AgreesWithClusterReportStrategy2) {
 }
 
 TEST(FlightRecorder, BspThreePhaseCriticalPathMatchesTotalSec) {
-  if (!FlightRecorder::compiled_in()) GTEST_SKIP() << "TLRWSE_TRACING=OFF";
   GridSource src(700, 500, 50, 4, 8);
   const IpuSpec ipu;
   FlightRecorderConfig cfg;
@@ -266,11 +263,7 @@ TEST(FlightRecorder, HookMacroCompilesInEveryBuild) {
   FlightRecorder* recp = &rec;
   TLRWSE_FLIGHT_RECORD(recp, Phase::kFusedColumn, 0,
                        (sample(1, 1, 1, 1, 1)));
-  if (FlightRecorder::compiled_in()) {
-    EXPECT_EQ(rec.samples(), 1u);
-  } else {
-    EXPECT_EQ(rec.samples(), 0u);
-  }
+  EXPECT_EQ(rec.samples(), 1u);
   // Null recorder is always a safe no-op.
   FlightRecorder* null_rec = nullptr;
   TLRWSE_FLIGHT_RECORD(null_rec, Phase::kFusedColumn, 0,

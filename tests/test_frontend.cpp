@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -126,6 +127,10 @@ struct Engine {
     return registry.snapshot().counters.at(
         std::string(source->metric_prefix()) + "." + name);
   }
+  [[nodiscard]] std::int64_t gauge(const std::string& name) const {
+    return registry.snapshot().gauges.at(
+        std::string(source->metric_prefix()) + "." + name);
+  }
 };
 
 /// Holds the engine's single worker inside an LSQR iteration until
@@ -213,7 +218,7 @@ TEST_P(EngineLifecycle, QueueFullIsTypedAndNonBlocking) {
   EXPECT_EQ(admitted.response.get().status, SolveStatus::kOk);
   EXPECT_EQ(engine.counter("rejected_queue_full"), 4u);
   EXPECT_EQ(engine.counter("completed"), 2u);
-  EXPECT_EQ(engine.frontend->metrics().counters.queue_peak_depth, 1u);
+  EXPECT_EQ(engine.gauge("queue_peak_depth"), 1);
 }
 
 TEST_P(EngineLifecycle, DeadlineExpiredWhileQueued) {
@@ -342,6 +347,63 @@ TEST_P(EngineLifecycle, SloWindowCountsRejects) {
   const auto win = engine.frontend->slo_window();
   EXPECT_EQ(win.count, 3u);
   EXPECT_EQ(win.errors, 2u);
+}
+
+TEST_P(EngineLifecycle, MetricNamesMatchTheOtherSource) {
+  // Both sources describe the engine in one vocabulary: after the same
+  // lifecycle, every name this source's registry holds (prefix stripped)
+  // also exists under the other source's prefix, apart from the names only
+  // one source has — the local cache gauges, the remote placement and
+  // worker counters. The two instantiations check the two directions.
+  const auto names_after_lifecycle = [](Source kind) {
+    Engine engine(kind, FrontendConfig{});
+    SolveRequest missing = make_request(RequestKind::kAdjoint, 0);
+    missing.op.archive_id = "/nonexistent/survey.tlra";
+    SolveRequest expired = make_request(RequestKind::kAdjoint, 0);
+    expired.deadline_s = 1e-9;
+    EXPECT_EQ(engine.submit(std::move(missing)).response.get().status,
+              SolveStatus::kArchiveMissing);
+    EXPECT_EQ(engine.submit(std::move(expired)).response.get().status,
+              SolveStatus::kDeadlineExceeded);
+    EXPECT_EQ(engine.submit(make_request(RequestKind::kAdjoint, 1))
+                  .response.get()
+                  .status,
+              SolveStatus::kOk);
+    EXPECT_EQ(engine.submit(make_request(RequestKind::kLsqr, 2))
+                  .response.get()
+                  .status,
+              SolveStatus::kOk);
+    const auto snap = engine.registry.snapshot();
+    const std::string prefix =
+        std::string(engine.source->metric_prefix()) + ".";
+    std::set<std::string> names;
+    const auto add = [&](const std::string& name) {
+      EXPECT_EQ(name.rfind(prefix, 0), 0u) << name;
+      names.insert(name.substr(prefix.size()));
+    };
+    for (const auto& [name, v] : snap.counters) add(name);
+    for (const auto& [name, v] : snap.gauges) add(name);
+    for (const auto& h : snap.histograms) add(h.name);
+    return names;
+  };
+  const auto source_specific = [](const std::string& name) {
+    return name.rfind("cache.", 0) == 0 || name == "placements" ||
+           name == "replans" || name == "worker_deaths";
+  };
+  const Source other =
+      GetParam() == Source::kLocal ? Source::kRemote : Source::kLocal;
+  const std::set<std::string> mine = names_after_lifecycle(GetParam());
+  const std::set<std::string> theirs = names_after_lifecycle(other);
+  for (const char* lifecycle :
+       {"submitted", "completed", "rejected_archive_missing",
+        "rejected_deadline", "latency_s", "queue_peak_depth", "slo.p99_us",
+        "stage.lsqr_s"}) {
+    EXPECT_EQ(mine.count(lifecycle), 1u) << lifecycle;
+  }
+  for (const std::string& name : mine) {
+    if (source_specific(name)) continue;
+    EXPECT_EQ(theirs.count(name), 1u) << name << " has no twin";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sources, EngineLifecycle,

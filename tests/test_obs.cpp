@@ -1,9 +1,7 @@
 // Tests for the observability layer: sharded counter/gauge/histogram merge
 // under concurrent writers, the scoped-span tracer (nesting, thread
-// attribution, detail tier, ring overflow), the always-compiled no-op
-// shapes, cross-module instrumentation (tlr compression, LSQR), and the
-// bitwise parity between the legacy ServiceMetrics snapshot and the
-// registry that now backs it.
+// attribution, detail tier, ring overflow), cross-module instrumentation
+// (tlr compression, LSQR), SLO windows and trace merging.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,14 +10,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "tlrwse/io/archive.hpp"
 #include "tlrwse/mdd/lsqr.hpp"
-#include "tlrwse/mdd/mdd_solver.hpp"
 #include "tlrwse/obs/metrics_registry.hpp"
 #include "tlrwse/obs/prometheus.hpp"
 #include "tlrwse/obs/slo_tracker.hpp"
@@ -27,7 +22,6 @@
 #include "tlrwse/obs/trace_context.hpp"
 #include "tlrwse/obs/trace_merge.hpp"
 #include "tlrwse/obs/tracer.hpp"
-#include "tlrwse/serve/solve_service.hpp"
 #include "tlrwse/tlr/tlr_matrix.hpp"
 
 namespace tlrwse {
@@ -371,7 +365,6 @@ TEST(Tracer, DetailTierIsGated) {
   EXPECT_FALSE(obs::Tracer::detail_enabled());
 }
 
-#ifdef TLRWSE_TRACING_ENABLED
 TEST(Tracer, DetailMacroRecordsOnlyWithDetailEnabled) {
   obs::Tracer& tracer = obs::Tracer::instance();
 
@@ -394,17 +387,6 @@ TEST(Tracer, DetailMacroRecordsOnlyWithDetailEnabled) {
   evs = parse_events(tracer.to_json());
   EXPECT_NE(find_event(evs, "obs_test.coarse"), nullptr);
   EXPECT_NE(find_event(evs, "obs_test.fine"), nullptr);
-}
-#endif  // TLRWSE_TRACING_ENABLED
-
-TEST(TracerNoop, NoopShapesCompileAndLinkInEveryBuild) {
-  // These exist in TLRWSE_TRACING=OFF builds as the macro expansion
-  // targets; the test pins down that they stay compilable everywhere.
-  obs::noop::Span span("obs_test.noop", "test");
-  obs::noop::Span defaulted("obs_test.noop");
-  obs::noop::counter("obs_test.noop_counter", 1.0);
-  (void)span;
-  (void)defaulted;
 }
 
 // ------------------------------------------- cross-module integration --
@@ -486,7 +468,6 @@ TEST(ObsIntegration, LsqrRecordsIterationsAndTraceSpans) {
   EXPECT_EQ(reg.counter("mdd.lsqr.iterations").value() - iters_before,
             static_cast<std::uint64_t>(res.iterations));
 
-#ifdef TLRWSE_TRACING_ENABLED
   const auto evs = parse_events(tracer.to_json());
   ASSERT_NE(find_event(evs, "mdd.lsqr"), nullptr);
   ASSERT_NE(find_event(evs, "mdd.lsqr.iter"), nullptr);
@@ -502,117 +483,6 @@ TEST(ObsIntegration, LsqrRecordsIterationsAndTraceSpans) {
   }
   EXPECT_EQ(iter_spans, res.iterations);
   EXPECT_EQ(resid_samples, res.iterations);
-#endif  // TLRWSE_TRACING_ENABLED
-}
-
-// ------------------------------------------------------- serve parity --
-
-namespace fx {
-
-struct TempFile {
-  std::string path;
-  // The pid keeps concurrent ctest shards of this binary (each TEST runs
-  // as its own process) from clobbering each other's fixture files.
-  explicit TempFile(const char* name)
-      : path((std::filesystem::temp_directory_path() /
-              (std::to_string(::getpid()) + "." + name))
-                 .string()) {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
-
-const seismic::SeismicDataset& dataset() {
-  static const seismic::SeismicDataset data = [] {
-    seismic::DatasetConfig cfg;
-    cfg.geometry = seismic::AcquisitionGeometry::small_scale(8, 6, 6, 5);
-    cfg.nt = 128;
-    cfg.f_min = 4.0;
-    cfg.f_max = 40.0;
-    return seismic::build_dataset(cfg);
-  }();
-  return data;
-}
-
-const std::string& archive_path() {
-  static const TempFile file("tlrwse_obs_test.tlra");
-  static const bool built = [] {
-    tlr::CompressionConfig cc;
-    cc.nb = 12;
-    cc.acc = 1e-4;
-    io::save_archive(file.path, io::build_archive(dataset(), cc));
-    return true;
-  }();
-  (void)built;
-  return file.path;
-}
-
-serve::SolveRequest make_request(serve::RequestKind kind, index_t vsrc,
-                                 int iters) {
-  serve::SolveRequest req;
-  req.op = serve::OperatorKey{archive_path(), 12, 1e-4};
-  req.kind = kind;
-  req.vsrc = vsrc;
-  req.rhs = mdd::virtual_source_rhs(dataset(), vsrc);
-  req.lsqr.max_iters = iters;
-  return req;
-}
-
-}  // namespace fx
-
-TEST(ObsServeParity, ServiceMetricsAgreesBitwiseWithRegistrySnapshot) {
-  // The legacy ServiceMetrics snapshot must read the exact same counters
-  // the per-service registry holds: at any quiescent point the two views
-  // are bitwise identical, so dashboards can migrate name-for-name.
-  serve::ServiceConfig cfg;
-  cfg.workers = 2;
-  cfg.queue_capacity = 32;
-  cfg.max_batch = 4;
-  serve::SolveService service(cfg);
-
-  constexpr int kRequests = 6;
-  std::vector<std::future<serve::SolveResponse>> futures;
-  futures.reserve(kRequests);
-  for (int j = 0; j < kRequests; ++j) {
-    const auto kind =
-        j % 2 == 0 ? serve::RequestKind::kAdjoint : serve::RequestKind::kLsqr;
-    futures.push_back(service.submit(fx::make_request(kind, j % 3, 4)));
-  }
-  for (auto& f : futures) {
-    const auto r = f.get();
-    ASSERT_EQ(r.status, serve::SolveStatus::kOk) << r.error;
-  }
-  service.shutdown();  // quiescent: no in-flight writers on either view
-
-  const auto m = service.metrics();
-  const auto snap = service.registry().snapshot();
-
-  EXPECT_EQ(m.counters.submitted, snap.counters.at("serve.submitted"));
-  EXPECT_EQ(m.counters.admitted, snap.counters.at("serve.admitted"));
-  EXPECT_EQ(m.counters.completed, snap.counters.at("serve.completed"));
-  EXPECT_EQ(m.counters.rejected_queue_full,
-            snap.counters.at("serve.rejected_queue_full"));
-  EXPECT_EQ(m.counters.rejected_deadline,
-            snap.counters.at("serve.rejected_deadline"));
-  EXPECT_EQ(m.counters.rejected_archive_missing,
-            snap.counters.at("serve.rejected_archive_missing"));
-  EXPECT_EQ(m.counters.failed, snap.counters.at("serve.failed"));
-  EXPECT_EQ(m.counters.batches, snap.counters.at("serve.batches"));
-  EXPECT_EQ(m.counters.coalesced, snap.counters.at("serve.coalesced"));
-  EXPECT_EQ(static_cast<std::int64_t>(m.counters.queue_depth),
-            snap.gauges.at("serve.queue_depth"));
-  EXPECT_EQ(static_cast<std::int64_t>(m.counters.queue_peak_depth),
-            snap.gauges.at("serve.queue_peak_depth"));
-
-  EXPECT_EQ(m.counters.submitted, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(m.counters.completed, static_cast<std::uint64_t>(kRequests));
-
-  // One latency/queue-wait/solve histogram sample per completed request.
-  for (const auto& h : snap.histograms) {
-    if (h.name == "serve.latency_s" || h.name == "serve.queue_wait_s" ||
-        h.name == "serve.solve_s") {
-      EXPECT_EQ(h.snap.count, m.counters.completed) << h.name;
-      EXPECT_GE(h.snap.max, 0.0) << h.name;
-    }
-  }
 }
 
 // ----------------------------------------------------------------- slo --
@@ -857,7 +727,6 @@ TEST(Prometheus, FleetExportMergesSnapshots) {
   EXPECT_NE(text.find("fleet_lat_s_count 1"), std::string::npos);
 }
 
-#ifdef TLRWSE_TRACING_ENABLED
 TEST(Tracer, DropsAttributedPerThread) {
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.enable(/*capacity=*/4);
@@ -890,7 +759,6 @@ TEST(Tracer, DropsAttributedPerThread) {
   EXPECT_EQ(snap.gauges.at("trace.dropped_spans.drops-quiet"), 0);
   EXPECT_GE(snap.gauges.at("trace.dropped_spans.total"), 16);
 }
-#endif  // TLRWSE_TRACING_ENABLED
 
 }  // namespace
 }  // namespace tlrwse

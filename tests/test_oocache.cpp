@@ -83,19 +83,23 @@ TEST(StreamPlan, PinsTheLongestPrefixBesideTheRingWindow) {
   StreamPlanConfig cfg;
   cfg.budget_bytes = 50.0;  // 3 pinned + a 20-byte ring pair; 4 would be 60
   const StreamPlan plan = compile_stream_plan(bytes, freqs, cfg);
-  ASSERT_EQ(plan.num_shards(), 8);  // one shard per granule
-  for (index_t s = 0; s < plan.num_shards(); ++s) {
+  // The 3 pinned granules are one shard; every ring granule is its own.
+  ASSERT_EQ(plan.num_shards(), 6);
+  EXPECT_EQ(plan.shard(0).q_begin, 0);
+  EXPECT_EQ(plan.shard(0).q_end, 3);
+  EXPECT_EQ(plan.shard(0).bytes, 30.0);
+  for (index_t s = 1; s < plan.num_shards(); ++s) {
     EXPECT_EQ(plan.shard(s).bytes, 10.0);
-    EXPECT_EQ(plan.shard(s).q_begin, s);
-    EXPECT_EQ(plan.shard(s).q_end, s + 1);
+    EXPECT_EQ(plan.shard(s).q_begin, s + 2);
+    EXPECT_EQ(plan.shard(s).q_end, s + 3);
   }
   EXPECT_EQ(plan.num_freqs(), 8);
   EXPECT_EQ(plan.total_bytes(), 80.0);
-  EXPECT_EQ(plan.pinned_shards(), 3);
+  EXPECT_EQ(plan.pinned_shards(), 1);
   EXPECT_EQ(plan.pinned_bytes(), 30.0);
   EXPECT_EQ(plan.window_bytes(), 50.0);
   EXPECT_EQ(plan.shard_at_step(0), 0);
-  EXPECT_EQ(plan.shard_at_step(9), 1);  // steps run on across sweeps
+  EXPECT_EQ(plan.shard_at_step(9), 3);  // steps run on across sweeps
 }
 
 TEST(StreamPlan, OversizedGranuleStaysInTheRing) {
@@ -124,13 +128,16 @@ TEST(StreamPlan, EverythingFitsLeavesAnEmptyRing) {
   StreamPlanConfig cfg;
   cfg.budget_bytes = 100.0;
   const StreamPlan plan = compile_stream_plan(bytes, freqs, cfg);
-  EXPECT_EQ(plan.pinned_shards(), 4);
+  ASSERT_EQ(plan.num_shards(), 1);  // all 4 granules in the pinned shard
+  EXPECT_EQ(plan.shard(0).q_end, 4);
+  EXPECT_EQ(plan.pinned_shards(), 1);
   EXPECT_EQ(plan.pinned_bytes(), 40.0);
   EXPECT_EQ(plan.window_bytes(), 40.0);  // no ring pair on top
 
   cfg.budget_bytes = 39.0;  // one byte short: the ring takes over
   const StreamPlan tight = compile_stream_plan(bytes, freqs, cfg);
   EXPECT_EQ(tight.pinned_shards(), 1);
+  EXPECT_EQ(tight.shard(0).q_end, 1);
   EXPECT_EQ(tight.window_bytes(), 30.0);
 }
 
@@ -319,6 +326,56 @@ TEST(StreamedOperator, SharedBasisArchiveStreamsBands) {
   EXPECT_TRUE(bitwise_equal(ref.x, got.x));
 }
 
+TEST(StreamedOperator, SharedBasisPlanPinsWholeBandsAsOneShard) {
+  // A TLRS granule is a band; the pinned prefix merges whole bands into
+  // one shard (one slice load, one parallel region) and every ring shard
+  // stays exactly one band. The merged sweep stays bitwise.
+  TempFile file("tlrwse_oocache_pinned.tlrs");
+  tlr::SharedBasisConfig sb;
+  sb.nb = cc().nb;
+  sb.acc = cc().acc;
+  const auto shared = io::build_shared_archive(dataset(), sb, 4);
+  io::save_shared_archive(file.path, shared);
+  const io::ArchiveInfo info = io::peek_archive_extents(file.path);
+  ASSERT_TRUE(info.shared_basis);
+  ASSERT_GT(info.extents.size(), 3u);
+
+  StreamConfig cfg;
+  cfg.budget_bytes = 0.9 * info.payload_bytes;
+  auto streamed = make_streamed_operator(file.path, cfg);
+  const StreamPlan& plan = streamed.streamer->plan();
+  ASSERT_EQ(plan.pinned_shards(), 1);
+  // Shard 0 ends on a band boundary after at least two bands.
+  std::size_t bands = 0;
+  double bytes = 0.0;
+  while (bands < info.extents.size() &&
+         info.extents[bands].first_freq < plan.shard(0).q_end) {
+    bytes += info.extents[bands].payload_bytes;
+    ++bands;
+  }
+  EXPECT_GE(bands, 2u);
+  EXPECT_EQ(info.extents[bands - 1].first_freq +
+                info.extents[bands - 1].num_freqs,
+            plan.shard(0).q_end);
+  EXPECT_DOUBLE_EQ(plan.shard(0).bytes, bytes);
+  ASSERT_EQ(static_cast<std::size_t>(plan.num_shards()),
+            info.extents.size() - bands + 1);
+  for (index_t s = 1; s < plan.num_shards(); ++s) {
+    const io::ShardExtent& band =
+        info.extents[bands + static_cast<std::size_t>(s) - 1];
+    EXPECT_EQ(plan.shard(s).q_begin, band.first_freq);
+    EXPECT_EQ(plan.shard(s).q_end, band.first_freq + band.num_freqs);
+  }
+
+  const auto resident = io::make_operator(io::load_shared_archive(file.path));
+  const index_t v = dataset().num_receivers() / 2;
+  const auto rhs = mdd::virtual_source_rhs(dataset(), v);
+  mdd::LsqrConfig lsqr;
+  lsqr.max_iters = 4;
+  EXPECT_TRUE(bitwise_equal(mdd::solve_mdd(*resident, rhs, lsqr).x,
+                            mdd::solve_mdd(*streamed.op, rhs, lsqr).x));
+}
+
 /// The all-fp16 quantized twin of tlra_path()'s archive, built once.
 const std::string& half_tlra_path() {
   static const TempFile file("tlrwse_oocache_fp16.tlra");
@@ -407,7 +464,8 @@ TEST(StreamedOperator, SteadySweepsStreamOnlyTheRing) {
     cfg.prefetch = prefetch;
     auto streamer = dense_streamer(src, 0.5, cfg);  // 5 of 10 granules
     const StreamPlan& plan = streamer->plan();
-    ASSERT_EQ(plan.pinned_shards(), 3) << "3 pinned + a 2-granule ring pair";
+    ASSERT_EQ(plan.pinned_shards(), 1);
+    ASSERT_EQ(plan.shard(0).q_end, 3) << "3 pinned + a 2-granule ring pair";
     const double ring = plan.total_bytes() - plan.pinned_bytes();
     mdc::MdcOperator op(kNt, kBins, streamer);
     std::vector<float> y(static_cast<std::size_t>(op.rows()));
@@ -565,7 +623,7 @@ TEST(ShardStreamer, AbortedSweepDropsTheRingItLoadedAhead) {
       22, 17, static_cast<index_t>(kBins.size()));
   auto streamer = dense_streamer(src, 0.5);  // 3 pinned, 2-granule ring
   const index_t pinned = streamer->plan().pinned_shards();
-  ASSERT_EQ(pinned, 3);
+  ASSERT_EQ(pinned, 1);  // the 3 pinned granules load as one shard
   mdc::MdcOperator op(kNt, kBins, streamer);
 
   // Sweep by hand through the first ring shard, then abort: the prefetcher

@@ -15,6 +15,7 @@
 
 #include "tlrwse/io/archive.hpp"
 #include "tlrwse/mdd/mdd_solver.hpp"
+#include "tlrwse/obs/prometheus.hpp"
 #include "tlrwse/serve/operator_cache.hpp"
 #include "tlrwse/serve/solve_service.hpp"
 #include "tlrwse/serve/task_executor.hpp"
@@ -261,6 +262,15 @@ SolveRequest make_request(RequestKind kind, index_t vsrc, int iters) {
   return req;
 }
 
+/// One lifecycle counter of the service's registry ("serve.*").
+std::uint64_t counter(const SolveService& service, const char* name) {
+  return service.registry().snapshot().counters.at(name);
+}
+
+std::int64_t gauge(const SolveService& service, const char* name) {
+  return service.registry().snapshot().gauges.at(name);
+}
+
 bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
@@ -326,13 +336,19 @@ TEST(SolveService, ConcurrentClientsMatchSequentialBitwise) {
   }
 
   const auto m = service.metrics();
-  EXPECT_EQ(m.counters.submitted, static_cast<std::uint64_t>(kClients * kPerClient));
-  EXPECT_EQ(m.counters.completed, static_cast<std::uint64_t>(kClients * kPerClient));
+  const auto& counters = m.snapshot.counters;
+  EXPECT_EQ(counters.at("serve.submitted"),
+            static_cast<std::uint64_t>(kClients * kPerClient));
+  EXPECT_EQ(counters.at("serve.completed"),
+            static_cast<std::uint64_t>(kClients * kPerClient));
   EXPECT_EQ(m.cache.loads, 1u) << "archive must be loaded exactly once";
   EXPECT_EQ(m.cache.misses, 1u);
-  EXPECT_EQ(m.cache.hits, m.counters.batches - 1);
-  EXPECT_EQ(m.latency.count, static_cast<std::size_t>(kClients * kPerClient));
-  EXPECT_GT(m.latency.p99, 0.0);
+  EXPECT_EQ(m.cache.hits, counters.at("serve.batches") - 1);
+  for (const auto& h : m.snapshot.histograms) {
+    if (h.name != "serve.latency_s") continue;
+    EXPECT_EQ(h.snap.count, static_cast<std::uint64_t>(kClients * kPerClient));
+    EXPECT_GT(h.snap.max, 0.0);
+  }
 }
 
 TEST(SolveService, SharedBasisArchiveServedAndChargedSharedBytes) {
@@ -425,8 +441,6 @@ TEST(SolveService, HalfArchiveChargedPackedBytesAndGaugesReportWin) {
             static_cast<std::int64_t>(m.cache.bytes_resident));
   EXPECT_EQ(snap.gauges.at("serve.cache.fp32_equiv_bytes"),
             static_cast<std::int64_t>(m.cache.bytes_resident_fp32));
-  EXPECT_NE(service.metrics_json().find("\"bytes_resident_fp32\""),
-            std::string::npos);
 }
 
 /// Holds the single worker inside an LSQR iteration until released, giving
@@ -447,7 +461,7 @@ struct Blocker {
   }
   /// Waits until the worker has dequeued the blocker (queue drained).
   void wait_until_running(SolveService& service) {
-    while (service.metrics().counters.queue_depth > 0) {
+    while (gauge(service, "serve.queue_depth") > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
@@ -497,7 +511,7 @@ TEST(SolveService, CoalescedAdjointsShareOneMultiRhsSweep) {
   const auto snap = service.registry().snapshot();
   EXPECT_EQ(snap.counters.at("serve.multi_rhs"),
             static_cast<std::uint64_t>(kAdjoints));
-  EXPECT_EQ(service.metrics().counters.coalesced,
+  EXPECT_EQ(snap.counters.at("serve.coalesced"),
             static_cast<std::uint64_t>(kAdjoints));
 }
 
@@ -534,10 +548,9 @@ TEST(SolveService, QueueFullIsTypedAndNonBlocking) {
   EXPECT_EQ(b.iterations, 1);
   EXPECT_EQ(admitted.get().status, SolveStatus::kOk);
 
-  const auto m = service.metrics();
-  EXPECT_EQ(m.counters.rejected_queue_full, 4u);
-  EXPECT_EQ(m.counters.completed, 2u);
-  EXPECT_EQ(m.counters.queue_peak_depth, 1u);
+  EXPECT_EQ(counter(service, "serve.rejected_queue_full"), 4u);
+  EXPECT_EQ(counter(service, "serve.completed"), 2u);
+  EXPECT_EQ(gauge(service, "serve.queue_peak_depth"), 1);
 }
 
 TEST(SolveService, DeadlineExceededWhileQueued) {
@@ -561,7 +574,7 @@ TEST(SolveService, DeadlineExceededWhileQueued) {
   EXPECT_TRUE(r.x.empty());  // dropped at dequeue, no solve work spent
   EXPECT_GE(r.queue_wait_s, 1e-3);
   EXPECT_EQ(blocker.response.get().status, SolveStatus::kOk);
-  EXPECT_EQ(service.metrics().counters.rejected_deadline, 1u);
+  EXPECT_EQ(counter(service, "serve.rejected_deadline"), 1u);
 }
 
 TEST(SolveService, MissingArchiveRejectedAtAdmission) {
@@ -575,8 +588,8 @@ TEST(SolveService, MissingArchiveRejectedAtAdmission) {
   const auto r = f.get();
   EXPECT_EQ(r.status, SolveStatus::kArchiveMissing);
   EXPECT_FALSE(r.error.empty());
-  EXPECT_EQ(service.metrics().counters.rejected_archive_missing, 1u);
-  EXPECT_EQ(service.metrics().counters.admitted, 0u);
+  EXPECT_EQ(counter(service, "serve.rejected_archive_missing"), 1u);
+  EXPECT_EQ(counter(service, "serve.admitted"), 0u);
 }
 
 TEST(SolveService, ShutdownDrainsAdmittedRequests) {
@@ -596,19 +609,113 @@ TEST(SolveService, ShutdownDrainsAdmittedRequests) {
   service.shutdown();  // idempotent
 }
 
+/// Runs a mixed adjoint/LSQR load to completion and shuts the service down,
+/// so nothing writes to its registry afterwards.
+void run_quiescent(SolveService& service, int requests) {
+  std::vector<std::future<SolveResponse>> futures;
+  for (int j = 0; j < requests; ++j) {
+    const auto kind = j % 2 == 0 ? RequestKind::kAdjoint : RequestKind::kLsqr;
+    futures.push_back(service.submit(make_request(kind, j % 3, 4)));
+  }
+  for (auto& f : futures) ASSERT_EQ(f.get().status, SolveStatus::kOk);
+  service.shutdown();
+}
+
 TEST(SolveService, MetricsJsonHasStableKeys) {
+  // The registry is the service's only metrics store: metrics_json() and
+  // the Prometheus text both render its snapshot, so lifecycle counters,
+  // cache gauges, latency histograms and SLO gauges appear under the same
+  // names in both.
   SolveService service{ServiceConfig{}};
-  (void)service.submit(make_request(RequestKind::kAdjoint, 0, 6)).get();
+  run_quiescent(service, 2);
+
   const std::string json = service.metrics_json();
-  for (const char* k :
-       {"\"requests\"", "\"submitted\"", "\"completed\"", "\"batching\"",
-        "\"queue\"", "\"peak_depth\"", "\"cache\"", "\"hit_rate\"",
-        "\"latency\"", "\"queue_wait\"", "\"solve\"", "\"p50_s\"",
-        "\"p95_s\"", "\"p99_s\""}) {
+  EXPECT_EQ(json, service.registry().snapshot().to_json());
+  const std::string prom =
+      obs::metrics_to_prometheus_text(service.registry().snapshot());
+  for (const char* name :
+       {"serve.submitted", "serve.completed", "serve.cache.hits",
+        "serve.cache.fp32_equiv_bytes", "serve.latency_s",
+        "serve.slo.p99_us"}) {
+    EXPECT_NE(json.find(std::string("\"") + name + "\""), std::string::npos)
+        << "json misses " << name;
+    EXPECT_NE(prom.find(obs::prometheus_metric_name(name)), std::string::npos)
+        << "prometheus misses " << name;
+  }
+  for (const char* k : {"\"counters\"", "\"gauges\"", "\"histograms\""}) {
     EXPECT_NE(json.find(k), std::string::npos) << "missing key " << k;
   }
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
+}
+
+TEST(ObsServeParity, ServiceMetricsAgreesBitwiseWithRegistrySnapshot) {
+  // ServiceMetrics is the registry snapshot plus the cache's own stats: at
+  // a quiescent point its snapshot equals the registry's, and the
+  // serve.cache.* gauges equal the CacheStats it carries.
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  SolveService service(cfg);
+  constexpr int kRequests = 4;
+  run_quiescent(service, kRequests);
+
+  const auto m = service.metrics();
+  const auto snap = service.registry().snapshot();
+  EXPECT_EQ(m.snapshot.counters, snap.counters);
+  EXPECT_EQ(m.snapshot.gauges, snap.gauges);
+  EXPECT_EQ(m.snapshot.to_json(), snap.to_json());
+
+  const auto& counters = snap.counters;
+  const auto& gauges = snap.gauges;
+  const auto i = [](auto v) { return static_cast<std::int64_t>(v); };
+  EXPECT_EQ(counters.at("serve.submitted"),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(counters.at("serve.completed"),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(gauges.at("serve.cache.hits"), i(m.cache.hits));
+  EXPECT_EQ(gauges.at("serve.cache.misses"), i(m.cache.misses));
+  EXPECT_EQ(gauges.at("serve.cache.loads"), i(m.cache.loads));
+  EXPECT_EQ(gauges.at("serve.cache.load_failures"), i(m.cache.load_failures));
+  EXPECT_EQ(gauges.at("serve.cache.evictions"), i(m.cache.evictions));
+  EXPECT_EQ(gauges.at("serve.cache.bytes_evicted"), i(m.cache.bytes_evicted));
+  EXPECT_EQ(gauges.at("serve.cache.entries"), i(m.cache.entries));
+  EXPECT_EQ(gauges.at("serve.cache.budget_bytes"), i(cfg.cache_budget_bytes));
+  EXPECT_EQ(gauges.at("serve.cache.packed_bytes"), i(m.cache.bytes_resident));
+  EXPECT_EQ(gauges.at("serve.cache.fp32_equiv_bytes"),
+            i(m.cache.bytes_resident_fp32));
+  EXPECT_EQ(m.cache.misses, 1u);
+  EXPECT_EQ(m.cache.loads, 1u);
+  EXPECT_EQ(m.cache.entries, 1u);
+  // One latency/queue-wait/solve sample per completed request.
+  for (const auto& h : snap.histograms) {
+    if (h.name == "serve.latency_s" || h.name == "serve.queue_wait_s" ||
+        h.name == "serve.solve_s") {
+      EXPECT_EQ(h.snap.count, counters.at("serve.completed")) << h.name;
+      EXPECT_GE(h.snap.max, 0.0) << h.name;
+    }
+  }
+}
+
+TEST(SolveService, LoadFailureIsPublishedToTheCacheGauges) {
+  // An archive that passes the admission peek but cannot load counts as a
+  // cache load failure, and the gauges say so without another request.
+  TempFile file("tlrwse_serve_truncated.tlra");
+  {
+    tlr::CompressionConfig cc;
+    cc.nb = 12;
+    cc.acc = 1e-4;
+    io::save_archive(file.path, io::build_archive(dataset(), cc));
+    std::filesystem::resize_file(
+        file.path, std::filesystem::file_size(file.path) / 2);
+  }
+  SolveService service{ServiceConfig{}};
+  SolveRequest req = make_request(RequestKind::kAdjoint, 0, 1);
+  req.op = OperatorKey{file.path, 12, 1e-4};
+  const auto r = service.submit(std::move(req)).get();
+  EXPECT_EQ(r.status, SolveStatus::kError) << r.error;
+  EXPECT_EQ(gauge(service, "serve.cache.load_failures"), 1);
+  EXPECT_EQ(gauge(service, "serve.cache.loads"), 0);
+  EXPECT_EQ(gauge(service, "serve.cache.entries"), 0);
 }
 
 TEST(ToString, CoversEveryStatus) {

@@ -17,7 +17,7 @@
 //                        must match the archive's survey. --stream-mb > 0
 //                        runs out-of-core: kernels stream disk->RAM under
 //                        that byte budget, grown to the plan's
-//                        double-buffer window when too small;
+//                        window when too small;
 //                        --stream-verify 1 re-solves fully resident and
 //                        asserts the streamed solution is bitwise equal)
 //   tlrwse_cli serve    --archive survey.tlra [--clients 8] [--requests 4]
@@ -27,9 +27,10 @@
 //                       [--health-out FILE] [--watch MS] [--slo-ms 0]
 //                       [--exemplar-dir DIR] [geometry flags as for solve]
 //                       (closed-loop multi-client solve service driver;
-//                       verifies bitwise vs sequential; --metrics-out
-//                       dumps the service registry in Prometheus text
-//                       format; --health-out dumps metrics + the rolling
+//                       verifies bitwise vs sequential; prints the service
+//                       registry snapshot as JSON; --metrics-out dumps the
+//                       same snapshot in Prometheus text format;
+//                       --health-out dumps the snapshot + the rolling
 //                       SLO window as JSON; --watch MS repaints a live
 //                       service view every MS milliseconds; --slo-ms sets
 //                       the latency objective, with breach exemplars
@@ -46,7 +47,8 @@
 //                       [geometry flags as for solve]   (multi-process
 //                       smoke: forks real worker processes behind unix
 //                       sockets, solves through the cluster frontend,
-//                       verifies bitwise vs the single-process solve;
+//                       verifies bitwise vs the single-process solve,
+//                       prints the fleet's merged registry snapshot;
 //                       --kill-worker 1 SIGKILLs one worker mid-run and
 //                       asserts typed degradation; --trace-merged-out
 //                       traces the first request end-to-end and writes one
@@ -65,8 +67,7 @@
 //
 // Every command also accepts --trace-out FILE: the whole run is recorded
 // with the scoped-span tracer and dumped as chrome://tracing JSON (load it
-// at chrome://tracing or https://ui.perfetto.dev). Requires a build with
-// TLRWSE_TRACING=ON (the default).
+// at chrome://tracing or https://ui.perfetto.dev).
 //
 // Exit code 0 on success, 1 on usage error, 2 on runtime failure.
 #include <signal.h>
@@ -90,6 +91,7 @@
 #include "tlrwse/cluster/transport.hpp"
 #include "tlrwse/cluster/worker.hpp"
 #include "tlrwse/common/rng.hpp"
+#include "tlrwse/common/stats.hpp"
 #include "tlrwse/common/timer.hpp"
 #include "tlrwse/common/units.hpp"
 #include "tlrwse/io/archive.hpp"
@@ -601,18 +603,20 @@ int cmd_serve(const Args& args) {
       watch_thread = std::thread([&] {
         const bool tty = ::isatty(1) != 0;
         while (!watch_stop.load(std::memory_order_relaxed)) {
-          const auto m = service.metrics();
+          const auto snap = service.registry().snapshot();
           const auto win = service.slo_window();
           char line[256];
           std::snprintf(
               line, sizeof(line),
-              "serve: queue %llu (peak %llu) | done %llu/%llu | slo "
+              "serve: queue %lld (peak %lld) | done %llu/%llu | slo "
               "window: %llu reqs, p50 %.3fs, p95 %.3fs, p99 %.3fs, "
               "burn %.2f\n",
-              static_cast<unsigned long long>(m.counters.queue_depth),
-              static_cast<unsigned long long>(m.counters.queue_peak_depth),
-              static_cast<unsigned long long>(m.counters.completed),
-              static_cast<unsigned long long>(m.counters.submitted),
+              static_cast<long long>(snap.gauges.at("serve.queue_depth")),
+              static_cast<long long>(snap.gauges.at("serve.queue_peak_depth")),
+              static_cast<unsigned long long>(
+                  snap.counters.at("serve.completed")),
+              static_cast<unsigned long long>(
+                  snap.counters.at("serve.submitted")),
               static_cast<unsigned long long>(win.count), win.p50_s,
               win.p95_s, win.p99_s, win.burn_rate);
           if (tty) std::printf("\033[2J\033[H");
@@ -667,26 +671,38 @@ int cmd_serve(const Args& args) {
     }
     const double elapsed = wall.seconds();
 
+    // Quiescent snapshot (all clients joined): stdout, --metrics-out and
+    // --health-out all render this one registry view.
     const auto m = service.metrics();
-    std::printf("%s\n", m.to_json().c_str());
-    std::printf("served %llu ok / %d submitted in %.2fs (%.1f req/s); "
-                "rejected: %llu queue-full, %llu deadline, %llu missing; "
-                "cache: %llu loads, %.0f%% hit rate\n",
-                static_cast<unsigned long long>(m.counters.completed),
-                n_submitted, elapsed,
-                static_cast<double>(m.counters.completed) / elapsed,
-                static_cast<unsigned long long>(m.counters.rejected_queue_full),
-                static_cast<unsigned long long>(m.counters.rejected_deadline),
-                static_cast<unsigned long long>(
-                    m.counters.rejected_archive_missing),
+    const std::string metrics_json = m.snapshot.to_json();
+    const auto count = [&m](const char* name) {
+      return static_cast<unsigned long long>(m.snapshot.counters.at(name));
+    };
+    // Exact quantiles of this run's own answered requests.
+    std::vector<double> latencies;
+    for (int j = 0; j < total; ++j) {
+      const auto& resp = responses[static_cast<std::size_t>(j)];
+      if (submitted[static_cast<std::size_t>(j)] != 0 &&
+          resp.status == serve::SolveStatus::kOk) {
+        latencies.push_back(resp.total_s);
+      }
+    }
+    const LatencySummary latency = summarize_latencies(latencies);
+    std::printf("%s\n", metrics_json.c_str());
+    std::printf("served %llu ok / %d submitted in %.2fs (%.1f req/s; "
+                "latency p50 %.4fs, p99 %.4fs); rejected: %llu queue-full, "
+                "%llu deadline, %llu missing; cache: %llu loads, %.0f%% hit "
+                "rate\n",
+                count("serve.completed"), n_submitted, elapsed,
+                static_cast<double>(count("serve.completed")) / elapsed,
+                latency.p50, latency.p99, count("serve.rejected_queue_full"),
+                count("serve.rejected_deadline"),
+                count("serve.rejected_archive_missing"),
                 static_cast<unsigned long long>(m.cache.loads),
                 100.0 * m.cache.hit_rate());
 
     if (!metrics_out.empty()) {
-      // Quiescent snapshot (all clients joined): the dump is a complete,
-      // scrape-ready view of the run for Prometheus-side tooling.
-      const std::string text =
-          obs::metrics_to_prometheus_text(service.registry().snapshot());
+      const std::string text = obs::metrics_to_prometheus_text(m.snapshot);
       std::FILE* fh = std::fopen(metrics_out.c_str(), "wb");
       if (fh == nullptr) {
         std::fprintf(stderr, "serve: cannot write %s\n", metrics_out.c_str());
@@ -699,21 +715,11 @@ int cmd_serve(const Args& args) {
     }
 
     if (!health_out.empty()) {
-      // Single-process health view: the service metrics JSON plus the
-      // rolling SLO window (the cluster tier's fleet_health_json analogue).
-      const auto win = service.slo_window();
-      char slo_json[256];
-      std::snprintf(slo_json, sizeof(slo_json),
-                    "{\"count\":%llu,\"errors\":%llu,\"breaches\":%llu,"
-                    "\"p50_s\":%.6f,\"p95_s\":%.6f,\"p99_s\":%.6f,"
-                    "\"burn_rate\":%.4f}",
-                    static_cast<unsigned long long>(win.count),
-                    static_cast<unsigned long long>(win.errors),
-                    static_cast<unsigned long long>(win.breaches), win.p50_s,
-                    win.p95_s, win.p99_s, win.burn_rate);
-      const std::string health = std::string("{\"slo\":") + slo_json +
-                                 ",\"metrics\":" + service.metrics_json() +
-                                 "}";
+      // Single-process health view: the rolling SLO window plus the
+      // registry snapshot (the cluster tier's fleet_health_json analogue).
+      const std::string health = "{\"slo\":" +
+                                 service.slo_window().to_json() +
+                                 ",\"metrics\":" + metrics_json + "}";
       if (!write_text_file(health_out, health, "serve")) return 2;
       std::printf("health: wrote %zu bytes to %s\n", health.size(),
                   health_out.c_str());
@@ -766,8 +772,8 @@ int cmd_serve(const Args& args) {
           ++mismatched;
         }
       }
-      const auto completed = m.counters.completed;
-      const bool load_once_ok = completed == 0 || m.cache.loads == 1;
+      const bool load_once_ok =
+          count("serve.completed") == 0 || m.cache.loads == 1;
       std::printf("verify: %d mismatches, %d errors, archive loads = %llu "
                   "(%s)\n",
                   mismatched, errored,
@@ -1103,13 +1109,6 @@ int cmd_cluster(const Args& args) {
 /// LSQR solver, the MDC operator, and the TLR kernels), and dump both the
 /// chrome://tracing file and the process-wide metrics snapshot.
 int cmd_trace(const Args& args) {
-#ifndef TLRWSE_TRACING_ENABLED
-  (void)args;
-  std::fprintf(stderr,
-               "trace: this build was configured with TLRWSE_TRACING=OFF; "
-               "reconfigure with -DTLRWSE_TRACING=ON\n");
-  return 1;
-#else
   if (!obs::Tracer::enabled()) {
     obs::Tracer::instance().enable(obs::Tracer::kDefaultCapacity,
                                    /*detail=*/true);
@@ -1170,7 +1169,6 @@ int cmd_trace(const Args& args) {
   std::printf("%s\n",
               obs::MetricsRegistry::instance().snapshot().to_json().c_str());
   return 0;
-#endif
 }
 
 void usage() {
@@ -1195,16 +1193,9 @@ int main(int argc, char** argv) {
     // dumps chrome://tracing JSON on success (any command, not just trace).
     const std::string trace_out = args.get("trace-out", "");
     if (!trace_out.empty()) {
-#ifdef TLRWSE_TRACING_ENABLED
       tlrwse::obs::Tracer::instance().enable(
           tlrwse::obs::Tracer::kDefaultCapacity, /*detail=*/true);
       tlrwse::obs::Tracer::instance().set_thread_name("main");
-#else
-      std::fprintf(stderr,
-                   "error: --trace-out requires a build with "
-                   "TLRWSE_TRACING=ON (this one has it OFF)\n");
-      return 1;
-#endif
     }
     int rc = -1;
     if (cmd == "synth") rc = cmd_synth(args);
