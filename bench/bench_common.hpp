@@ -89,14 +89,19 @@ inline RecordedRun recorded_cluster_run(const wse::RankSource& source,
   return out;
 }
 
+#ifndef TLRWSE_BUILD_GIT_SHA
+#define TLRWSE_BUILD_GIT_SHA "unknown"
+#endif
+
 ///// v2 bench-JSON header fields shared by every JSON-emitting bench:
 /// schema version plus run metadata (git sha from TLRWSE_GIT_SHA — CI
-/// exports it; "unknown" otherwise — compiler, and thread count). Returned
-/// WITHOUT surrounding braces so benches splice it into their header line.
+/// exports it — else the sha stamped at configure time, else "unknown";
+/// compiler, and thread count). Returned WITHOUT surrounding braces so
+/// benches splice it into their header line.
 inline std::string json_meta_fields() {
   const char* sha = std::getenv("TLRWSE_GIT_SHA");
   std::string out = "\"schema_version\":2,\"meta\":{\"git_sha\":\"";
-  out += (sha != nullptr && sha[0] != '\0') ? sha : "unknown";
+  out += (sha != nullptr && sha[0] != '\0') ? sha : TLRWSE_BUILD_GIT_SHA;
   out += "\",\"compiler\":\"";
 #if defined(__clang__)
   out += "clang " __clang_version__;

@@ -233,7 +233,8 @@ class RemoteSource final : public serve::OperatorSource {
   /// A cached (or in-flight) placement counts as held.
   [[nodiscard]] bool holds(const serve::OperatorKey& key) const override;
   /// Resolves the placement: kWorkerFailed when no live worker can take a
-  /// shard, kArchiveMissing when the archive cannot be read.
+  /// shard, otherwise archive failures as serve::archive_load_error types
+  /// them (kArchiveMissing only for an absent file).
   [[nodiscard]] std::unique_ptr<Lease> acquire(
       const serve::OperatorKey& key) override;
   /// Drops the cached placement after a failed solve so the next request

@@ -1,12 +1,12 @@
 // Shard worker: the backend half of the distributed serving tier.
 //
-// A worker owns one or more frequency shards — contiguous slices of an
-// archive loaded with io::load_archive_slice / load_shared_archive_slice —
-// and answers kApply frames by running the exact same FrequencyMvm objects
-// a single-process MdcOperator would, over the exact bytes the frontend
-// gathered. No FFT happens here: frequency-domain slices in, slices out,
-// which is what keeps a distributed solve bitwise identical to a local
-// one.
+// A worker owns one or more frequency shards — contiguous frequency
+// ranges of a TLRA or TLRS archive, loaded with one extents peek and one
+// io::load_kernels call — and answers kApply frames by running the exact
+// same FrequencyMvm objects a single-process MdcOperator would, over the
+// exact bytes the frontend gathered. No FFT happens here: frequency-domain
+// slices in, slices out, which is what keeps a distributed solve bitwise
+// identical to a local one.
 //
 // The handler is transport-agnostic: handle() maps one request frame to
 // one reply frame, so the same ShardWorker sits behind a SocketServer in a

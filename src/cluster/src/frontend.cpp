@@ -20,14 +20,6 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// An archive-side load failure (file missing, bad range) — distinct from
-/// WorkerFailure so the engine answers kArchiveMissing vs kWorkerFailed.
-class ArchiveFailure : public serve::SourceError {
- public:
-  explicit ArchiveFailure(const std::string& what)
-      : serve::SourceError(serve::SolveStatus::kArchiveMissing, what) {}
-};
-
 /// Maps a worker's reply frame to ApplyOkMsg or the matching exception.
 ApplyOkMsg parse_apply_reply(const Frame& reply) {
   if (reply.type == static_cast<std::uint16_t>(MsgType::kApplyOk)) {
@@ -52,8 +44,9 @@ LoadShardOkMsg parse_load_reply(const Frame& reply) {
   }
   if (reply.type == static_cast<std::uint16_t>(MsgType::kError)) {
     const ErrorMsg err = ErrorMsg::from_frame(reply);
-    throw ArchiveFailure(std::string("shard load failed (") +
-                         to_string(err.code) + "): " + err.message);
+    // An archive-side failure: acquire types it like a local load.
+    throw std::runtime_error(std::string("shard load failed (") +
+                             to_string(err.code) + "): " + err.message);
   }
   throw WorkerFailure("unexpected load reply frame type " +
                       std::to_string(reply.type));
@@ -606,7 +599,7 @@ std::unique_ptr<serve::OperatorSource::Lease> RemoteSource::acquire(
     throw;
   } catch (const std::exception& e) {
     // Everything untyped failed on the archive side (missing, unreadable).
-    throw ArchiveFailure(e.what());
+    throw serve::archive_load_error(key.archive_id, e.what());
   }
 }
 

@@ -72,28 +72,19 @@ void ShardWorker::add_shard(
 Frame ShardWorker::handle_load(const LoadShardMsg& msg) {
   auto shard = std::make_shared<Shard>();
   try {
-    const io::ArchiveInfo info = io::peek_archive(msg.archive_path);
+    const io::ArchiveInfo info = io::peek_archive_extents(msg.archive_path);
     if (msg.q_begin < 0 || msg.q_end > info.num_freqs() ||
         msg.q_begin >= msg.q_end) {
       return error_frame(0, WireErrorCode::kBadRequest,
                          "worker: shard range outside archive frequencies");
     }
-    if (info.shared_basis) {
-      const io::SharedKernelArchive slice =
-          io::load_shared_archive_slice(msg.archive_path, msg.q_begin,
-                                        msg.q_end);
-      shard->nt = slice.nt;
-      shard->freq_bins = slice.freq_bins;
-      shard->bytes = slice.shared_bytes();
-      shard->kernels = io::make_kernels(slice);
-    } else {
-      const io::KernelArchive slice =
-          io::load_archive_slice(msg.archive_path, msg.q_begin, msg.q_end);
-      shard->nt = slice.nt;
-      shard->freq_bins = slice.freq_bins;
-      shard->bytes = slice.compressed_bytes();
-      shard->kernels = io::make_kernels(slice);
-    }
+    io::LoadedKernels loaded =
+        io::load_kernels(msg.archive_path, info, msg.q_begin, msg.q_end);
+    shard->nt = info.nt;
+    shard->freq_bins.assign(info.freq_bins.begin() + msg.q_begin,
+                            info.freq_bins.begin() + msg.q_end);
+    shard->bytes = loaded.bytes;
+    shard->kernels = std::move(loaded.kernels);
     shard->q_begin = msg.q_begin;
     shard->q_end = msg.q_end;
   } catch (const std::exception& e) {

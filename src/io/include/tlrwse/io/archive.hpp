@@ -108,9 +108,9 @@ void quantize_shared_archive(SharedKernelArchive& archive,
 
 /// Byte extent of one archive granule — a frequency kernel in a "TLRA"
 /// container, a whole band in a "TLRS" one — measured during a single
-/// header peek. `offset`/`bytes` frame the granule in the file (where an
-/// extent-seeking slice load jumps to); `payload_bytes` is the factor/core
-/// payload, the residency currency of cache admission and stream planning.
+/// header peek. `offset`/`bytes` frame the granule in the file (where
+/// load_kernels seeks to); `payload_bytes` is the factor/core payload, the
+/// residency currency of cache admission and stream planning.
 struct ShardExtent {
   std::int64_t offset = 0;
   std::int64_t bytes = 0;
@@ -160,44 +160,46 @@ struct ArchiveInfo {
 
 /// One-pass peek that also walks the kernel headers (payloads are seeked
 /// past, never read) and records each granule's byte extent. This is the
-/// single directory read shared by the stream planner and the
-/// extent-seeking slice loads below — neither re-scans headers.
+/// single directory read shared by the stream planner, the shard placer
+/// and load_kernels — none of them re-scans headers.
 [[nodiscard]] ArchiveInfo peek_archive_extents(const std::string& path);
-
-/// Loads only frequencies [q_begin, q_end) of an archive, seeking past the
-/// payload of every other kernel — what a cluster worker owning one
-/// frequency shard reads instead of the whole survey. The returned archive
-/// carries the sliced band metadata; kernels are bitwise identical to the
-/// same indices of a full load_archive.
-[[nodiscard]] KernelArchive load_archive_slice(const std::string& path,
-                                               index_t q_begin,
-                                               index_t q_end);
-
-/// Shared-basis counterpart. Bands with no frequency in [q_begin, q_end)
-/// are skipped whole; overlapping bands load their (band-shared) bases
-/// plus only the overlapping cores, so the per-frequency arithmetic of the
-/// trimmed band matches the full band's exactly.
-[[nodiscard]] SharedKernelArchive load_shared_archive_slice(
-    const std::string& path, index_t q_begin, index_t q_end);
-
-/// Extent-seeking slice loads: same results as the two-argument forms but
-/// seek straight to the granule offsets recorded in `info` instead of
-/// re-reading every preceding kernel header — what the out-of-core
-/// prefetcher calls once per shard, per sweep. `info` must come from
-/// peek_archive_extents on the same (unmodified) file.
-[[nodiscard]] KernelArchive load_archive_slice(const std::string& path,
-                                               index_t q_begin, index_t q_end,
-                                               const ArchiveInfo& info);
-[[nodiscard]] SharedKernelArchive load_shared_archive_slice(
-    const std::string& path, index_t q_begin, index_t q_end,
-    const ArchiveInfo& info);
 
 /// Per-frequency compressed payload bytes, computed from headers and rank
 /// tables alone (payloads are seeked past, never read) — the shard
 /// planner's placement weights. Shared-basis archives amortise each band's
-/// basis bytes evenly over its frequencies. Equivalent to
+/// basis bytes evenly over their frequencies. Equivalent to
 /// peek_archive_extents(path).freq_payload_bytes.
 [[nodiscard]] std::vector<double> archive_kernel_bytes(
+    const std::string& path);
+
+/// Kernels of one frequency range with what they cost resident.
+struct LoadedKernels {
+  /// kernels[i] serves frequency q_begin + i.
+  std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
+  /// Payload bytes as stored (half tiles packed) — the residency currency.
+  double bytes = 0.0;
+  /// The same payload stored uniformly fp32.
+  double fp32_bytes = 0.0;
+};
+
+/// The one archive loader behind every operator source (resident, streamed,
+/// cluster shard), format-blind: builds the kernels of frequencies
+/// [q_begin, q_end) of either container, one granule at a time — a kernel
+/// in "TLRA", a band in "TLRS" — seeking straight to the granule offsets in
+/// `info`, so no more than one granule is held in archive form beside the
+/// kernels already built. A band the range cuts keeps its (band-shared)
+/// bases and only the overlapping cores, so every kernel is bitwise equal
+/// to the same frequency of a whole-archive load. `bytes`/`fp32_bytes` sum
+/// the loaded (trimmed) granules' figures. `info` must be an extents peek
+/// of the same, unmodified file; one that does not describe `path` throws
+/// std::invalid_argument before a payload is trusted.
+[[nodiscard]] LoadedKernels load_kernels(const std::string& path,
+                                         const ArchiveInfo& info,
+                                         index_t q_begin, index_t q_end);
+
+/// A resident MdcOperator over the whole archive of either container
+/// format: one extents peek, then load_kernels over every frequency.
+[[nodiscard]] std::unique_ptr<mdc::MdcOperator> open_operator(
     const std::string& path);
 
 /// Builds the MDC operator directly from an archive (no recompression).
@@ -209,13 +211,10 @@ struct ArchiveInfo {
 [[nodiscard]] std::unique_ptr<mdc::MdcOperator> make_operator(
     const SharedKernelArchive& archive);
 
-/// The per-frequency kernel factories behind make_operator, exposed for
-/// callers that drive frequencies directly (cluster workers run the exact
-/// same FrequencyMvm objects without the FFT wrapper, which is what keeps
-/// a distributed solve bitwise identical to the single-process one).
+/// The per-frequency kernels behind make_operator(KernelArchive), for
+/// callers that already hold an in-memory archive and drive frequencies
+/// directly.
 [[nodiscard]] std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
     const KernelArchive& archive);
-[[nodiscard]] std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
-    const SharedKernelArchive& archive);
 
 }  // namespace tlrwse::io

@@ -321,16 +321,23 @@ void save_archive(const std::string& path, const KernelArchive& archive) {
 
 namespace {
 
-/// Parses the band-metadata header of either container format, leaving the
-/// stream positioned at the first kernel/band. Shared by peek_archive and
-/// the extents scan.
+std::ifstream open_archive(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("tlrwse::io: cannot read " + path);
+  return is;
+}
+
+/// The one parse of the band-metadata header, for either container
+/// format, leaving the stream positioned at the first kernel/band.
 ArchiveInfo peek_header(std::istream& is, const std::string& path) {
   const std::uint32_t magic = read_u32(is);
   if (magic != kArchiveMagic && magic != kSharedMagic) {
     throw std::runtime_error("tlrwse::io: bad archive magic in " + path);
   }
+  // "TLRA" containers stay at version 1; their kernels carry their own.
   const std::uint32_t version = read_u32(is);
-  if (version != kFormatVersion && version != kFormatVersionMixed) {
+  if (version != kFormatVersion &&
+      (version != kFormatVersionMixed || magic != kSharedMagic)) {
     throw std::runtime_error("tlrwse::io: unsupported archive version");
   }
   ArchiveInfo info;
@@ -338,6 +345,7 @@ ArchiveInfo peek_header(std::istream& is, const std::string& path) {
   info.nt = read_i64(is);
   info.dt = read_f64(is);
   const index_t nf = read_i64(is);
+  if (!is) throw std::runtime_error("tlrwse::io: truncated archive header");
   TLRWSE_REQUIRE(nf >= 0, "corrupt archive");
   info.freq_bins.resize(static_cast<std::size_t>(nf));
   info.freqs_hz.resize(static_cast<std::size_t>(nf));
@@ -357,17 +365,119 @@ ArchiveInfo peek_header(std::istream& is, const std::string& path) {
   return info;
 }
 
+/// One "TLRS" band's header: grid, accuracy, frequency count and (version
+/// 2) the band-uniform storage precision.
+struct BandHeader {
+  tlr::TileGrid grid;
+  double acc = 0.0;
+  index_t num_freqs = 0;
+  tlr::StoragePrecision prec = tlr::StoragePrecision::kFp32;
+};
+
+/// `max_freqs` bounds the band's frequency count (what the archive header
+/// has left to cover).
+BandHeader read_band_header(std::istream& is, const std::string& path,
+                            std::uint32_t version, index_t max_freqs) {
+  if (read_u32(is) != kBandMagic) {
+    throw std::runtime_error("tlrwse::io: bad band magic in " + path);
+  }
+  const index_t rows = read_i64(is);
+  const index_t cols = read_i64(is);
+  const index_t nb = read_i64(is);
+  const double acc = read_f64(is);
+  const index_t band_nf = read_i64(is);
+  if (!is) throw std::runtime_error("tlrwse::io: truncated shared archive");
+  TLRWSE_REQUIRE(band_nf >= 0 && band_nf <= max_freqs,
+                 "corrupt shared archive band");
+  TLRWSE_REQUIRE(rows <= kMaxArchiveDim && cols <= kMaxArchiveDim,
+                 "corrupt shared archive band: dims out of range");
+  tlr::StoragePrecision prec = tlr::StoragePrecision::kFp32;
+  if (version == kFormatVersionMixed) {
+    std::uint8_t tag{};
+    is.read(reinterpret_cast<char*>(&tag), 1);
+    if (!is) throw std::runtime_error("tlrwse::io: truncated shared archive");
+    TLRWSE_REQUIRE(tlr::valid_precision_tag(tag),
+                   "corrupt shared archive: bad precision tag");
+    prec = static_cast<tlr::StoragePrecision>(tag);
+  }
+  return {tlr::TileGrid(rows, cols, nb), acc, band_nf, prec};
+}
+
+using Band = tlr::SharedBasisStackedTlr<cf32>;
+
+/// Reads the band whose header `h` was just read. Every band-shared basis
+/// is read; only the cores of the band's frequencies [keep_lo, keep_hi)
+/// are kept and the others are seeked past, so the trimmed band's
+/// per-frequency arithmetic matches the full band's exactly.
+Band read_band(std::istream& is, const BandHeader& h, index_t keep_lo,
+               index_t keep_hi) {
+  const tlr::TileGrid& g = h.grid;
+  const auto ntiles = static_cast<std::size_t>(g.num_tiles());
+  std::vector<la::MatrixCF> u(ntiles), vh(ntiles);
+  for (index_t j = 0; j < g.nt(); ++j) {
+    for (index_t i = 0; i < g.mt(); ++i) {
+      // A shared basis cannot out-rank its tile (orthonormal columns /
+      // rows); from_parts re-checks the exact dimensions below.
+      const auto t = static_cast<std::size_t>(g.tile_index(i, j));
+      u[t] = read_mat(is, g.tile_rows(i), g.tile_rows(i), h.prec);
+      vh[t] = read_mat(is, g.tile_cols(j), g.tile_cols(j), h.prec);
+    }
+  }
+  std::vector<std::vector<Band::Core>> cores(
+      static_cast<std::size_t>(keep_hi - keep_lo),
+      std::vector<Band::Core>(ntiles));
+  for (index_t f = 0; f < h.num_freqs; ++f) {
+    const bool keep = f >= keep_lo && f < keep_hi;
+    for (index_t j = 0; j < g.nt(); ++j) {
+      for (index_t i = 0; i < g.mt(); ++i) {
+        const auto t = static_cast<std::size_t>(g.tile_index(i, j));
+        const bool factored = read_u32(is) != 0;
+        const index_t rank = read_i64(is);
+        if (!is) {
+          throw std::runtime_error("tlrwse::io: truncated shared archive");
+        }
+        if (!keep) {
+          (void)skip_mat(is, h.prec);
+          if (factored) (void)skip_mat(is, h.prec);
+          continue;
+        }
+        Band::Core& c = cores[static_cast<std::size_t>(f - keep_lo)][t];
+        c.factored = factored;
+        c.rank = rank;
+        // Cores live inside the tile's shared bases, so their dims are
+        // bounded by the basis ranks just read (exactness is enforced by
+        // from_parts; the bound stops arena-overrun-sized reads).
+        const index_t ku = u[t].cols();
+        const index_t kv = vh[t].rows();
+        if (c.factored) {
+          const index_t rmax = std::min(ku, kv);
+          c.lr.U = read_mat(is, ku, rmax, h.prec);
+          c.lr.Vh = read_mat(is, rmax, kv, h.prec);
+        } else {
+          c.dense = read_mat(is, ku, kv, h.prec);
+        }
+      }
+    }
+  }
+  if (!is) throw std::runtime_error("tlrwse::io: truncated shared archive");
+  Band band = Band::from_parts(g, h.acc, std::move(u), std::move(vh),
+                               std::move(cores));
+  // Re-tag the band: the payload values are already rounded, so
+  // set_precision is a lossless no-op on the data and restores the
+  // precision-aware byte accounting and packed-plan packing.
+  if (tlr::is_half(h.prec)) band.set_precision(h.prec);
+  return band;
+}
+
 }  // namespace
 
 ArchiveInfo peek_archive(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("tlrwse::io: cannot read " + path);
+  std::ifstream is = open_archive(path);
   return peek_header(is, path);
 }
 
 ArchiveInfo peek_archive_extents(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("tlrwse::io: cannot read " + path);
+  std::ifstream is = open_archive(path);
   ArchiveInfo info = peek_header(is, path);
   const index_t nf = info.num_freqs();
   info.freq_payload_bytes.assign(static_cast<std::size_t>(nf), 0.0);
@@ -400,46 +510,24 @@ ArchiveInfo peek_archive_extents(const std::string& path) {
   index_t band_start = 0;
   for (index_t bi = 0; bi < info.num_bands; ++bi) {
     const auto offset = static_cast<std::int64_t>(is.tellg());
-    if (read_u32(is) != kBandMagic) {
-      throw std::runtime_error("tlrwse::io: bad band magic in " + path);
-    }
-    const index_t rows = read_i64(is);
-    const index_t cols = read_i64(is);
-    const index_t nb = read_i64(is);
-    (void)read_f64(is);  // acc
-    const index_t band_nf = read_i64(is);
-    if (!is) throw std::runtime_error("tlrwse::io: truncated shared archive");
-    TLRWSE_REQUIRE(band_nf >= 0 && band_start + band_nf <= nf,
-                   "corrupt shared archive band");
-    TLRWSE_REQUIRE(rows <= kMaxArchiveDim && cols <= kMaxArchiveDim,
-                   "corrupt shared archive band: dims out of range");
-    tlr::StoragePrecision band_prec = tlr::StoragePrecision::kFp32;
-    if (info.format_version == kFormatVersionMixed) {
-      std::uint8_t tag{};
-      is.read(reinterpret_cast<char*>(&tag), 1);
-      if (!is) {
-        throw std::runtime_error("tlrwse::io: truncated shared archive");
-      }
-      TLRWSE_REQUIRE(tlr::valid_precision_tag(tag),
-                     "corrupt shared archive: bad precision tag");
-      band_prec = static_cast<tlr::StoragePrecision>(tag);
-    }
+    const BandHeader h =
+        read_band_header(is, path, info.format_version, nf - band_start);
     if (bi == 0) {
-      info.rows = rows;
-      info.cols = cols;
+      info.rows = h.grid.rows();
+      info.cols = h.grid.cols();
     }
-    const tlr::TileGrid g(rows, cols, nb);
-    const auto ntiles = static_cast<std::size_t>(g.num_tiles());
+    const auto ntiles = static_cast<std::size_t>(h.grid.num_tiles());
     double basis_bytes = 0.0;
     for (std::size_t t = 0; t < 2 * ntiles; ++t) {
-      basis_bytes += skip_mat(is, band_prec);
+      basis_bytes += skip_mat(is, h.prec);
     }
     // Bases are shared by the whole band; amortise them evenly so the
     // per-frequency weights sum to the real resident cost.
     const double basis_share =
-        band_nf > 0 ? basis_bytes / static_cast<double>(band_nf) : 0.0;
+        h.num_freqs > 0 ? basis_bytes / static_cast<double>(h.num_freqs)
+                        : 0.0;
     double band_payload = basis_bytes;
-    for (index_t f = 0; f < band_nf; ++f) {
+    for (index_t f = 0; f < h.num_freqs; ++f) {
       double core_bytes = 0.0;
       for (std::size_t t = 0; t < ntiles; ++t) {
         const bool factored = read_u32(is) != 0;
@@ -447,8 +535,8 @@ ArchiveInfo peek_archive_extents(const std::string& path) {
         if (!is) {
           throw std::runtime_error("tlrwse::io: truncated shared archive");
         }
-        core_bytes += skip_mat(is, band_prec);
-        if (factored) core_bytes += skip_mat(is, band_prec);
+        core_bytes += skip_mat(is, h.prec);
+        if (factored) core_bytes += skip_mat(is, h.prec);
       }
       info.freq_payload_bytes[static_cast<std::size_t>(band_start + f)] =
           core_bytes + basis_share;
@@ -459,9 +547,9 @@ ArchiveInfo peek_archive_extents(const std::string& path) {
     e.bytes = static_cast<std::int64_t>(is.tellg()) - offset;
     e.payload_bytes = band_payload;
     e.first_freq = band_start;
-    e.num_freqs = band_nf;
+    e.num_freqs = h.num_freqs;
     info.extents.push_back(e);
-    band_start += band_nf;
+    band_start += h.num_freqs;
   }
   TLRWSE_REQUIRE(band_start == nf,
                  "corrupt shared archive: band frequency counts do not "
@@ -469,70 +557,27 @@ ArchiveInfo peek_archive_extents(const std::string& path) {
   return info;
 }
 
-namespace {
-
-/// Shared body of load_archive / load_archive_slice: q_end < 0 means the
-/// whole archive. A non-null `info` (from peek_archive_extents on the same
-/// file) lets the slice seek straight to the first kept kernel instead of
-/// walking every preceding header.
-KernelArchive load_archive_range(const std::string& path, index_t q_begin,
-                                 index_t q_end, const ArchiveInfo* info) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("tlrwse::io: cannot read " + path);
-  if (read_u32(is) != kArchiveMagic) {
-    throw std::runtime_error("tlrwse::io: bad archive magic in " + path);
-  }
-  if (read_u32(is) != kFormatVersion) {
-    throw std::runtime_error("tlrwse::io: unsupported archive version");
-  }
-  KernelArchive archive;
-  archive.nt = read_i64(is);
-  archive.dt = read_f64(is);
-  const index_t nf = read_i64(is);
-  TLRWSE_REQUIRE(nf >= 0, "corrupt archive");
-  if (q_end < 0) q_end = nf;
-  TLRWSE_REQUIRE(q_begin >= 0 && q_begin <= q_end && q_end <= nf,
-                 "archive slice [", q_begin, ", ", q_end,
-                 ") out of range for ", nf, " frequencies");
-  std::vector<index_t> bins(static_cast<std::size_t>(nf));
-  std::vector<double> hz(static_cast<std::size_t>(nf));
-  for (index_t q = 0; q < nf; ++q) {
-    bins[static_cast<std::size_t>(q)] = read_i64(is);
-    hz[static_cast<std::size_t>(q)] = read_f64(is);
-  }
-  if (!is) throw std::runtime_error("tlrwse::io: truncated archive header");
-  archive.freq_bins.assign(bins.begin() + q_begin, bins.begin() + q_end);
-  archive.freqs_hz.assign(hz.begin() + q_begin, hz.begin() + q_end);
-  archive.kernels.reserve(static_cast<std::size_t>(q_end - q_begin));
-  if (info != nullptr && info->has_extents()) {
-    TLRWSE_REQUIRE(static_cast<index_t>(info->extents.size()) == nf,
-                   "archive extents do not match file: ", info->extents.size(),
-                   " granules for ", nf, " frequencies");
-    if (q_begin < q_end) {
-      is.seekg(info->extents[static_cast<std::size_t>(q_begin)].offset);
-      if (!is) throw std::runtime_error("tlrwse::io: truncated archive");
-      for (index_t q = q_begin; q < q_end; ++q) {
-        const EmbeddedTlrHeader h = read_tlr_kernel_header(is, path);
-        archive.kernels.push_back(read_tlr_tiles(is, h));
-      }
-    }
-    return archive;
-  }
-  for (index_t q = 0; q < q_end; ++q) {
-    const EmbeddedTlrHeader h = read_tlr_kernel_header(is, path);
-    if (q < q_begin) {
-      skip_tlr_tiles(is, h);
-    } else {
-      archive.kernels.push_back(read_tlr_tiles(is, h));
-    }
-  }
-  return archive;
+std::vector<double> archive_kernel_bytes(const std::string& path) {
+  return peek_archive_extents(path).freq_payload_bytes;
 }
 
-}  // namespace
-
 KernelArchive load_archive(const std::string& path) {
-  return load_archive_range(path, 0, -1, nullptr);
+  std::ifstream is = open_archive(path);
+  const ArchiveInfo info = peek_header(is, path);
+  if (info.shared_basis) {
+    throw std::runtime_error("tlrwse::io: bad archive magic in " + path);
+  }
+  KernelArchive archive;
+  archive.nt = info.nt;
+  archive.dt = info.dt;
+  archive.freq_bins = info.freq_bins;
+  archive.freqs_hz = info.freqs_hz;
+  archive.kernels.reserve(static_cast<std::size_t>(info.num_freqs()));
+  for (index_t q = 0; q < info.num_freqs(); ++q) {
+    const EmbeddedTlrHeader h = read_tlr_kernel_header(is, path);
+    archive.kernels.push_back(read_tlr_tiles(is, h));
+  }
+  return archive;
 }
 
 void quantize_archive(KernelArchive& archive,
@@ -550,20 +595,6 @@ void quantize_shared_archive(SharedKernelArchive& archive,
   }
 }
 
-KernelArchive load_archive_slice(const std::string& path, index_t q_begin,
-                                 index_t q_end) {
-  TLRWSE_REQUIRE(q_end >= 0, "archive slice end must be non-negative");
-  return load_archive_range(path, q_begin, q_end, nullptr);
-}
-
-KernelArchive load_archive_slice(const std::string& path, index_t q_begin,
-                                 index_t q_end, const ArchiveInfo& info) {
-  TLRWSE_REQUIRE(q_end >= 0, "archive slice end must be non-negative");
-  TLRWSE_REQUIRE(info.has_extents() && !info.shared_basis,
-                 "extent-seeking slice needs a TLRA extents peek");
-  return load_archive_range(path, q_begin, q_end, &info);
-}
-
 std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
     const KernelArchive& archive) {
   std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
@@ -577,10 +608,6 @@ std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
 std::unique_ptr<mdc::MdcOperator> make_operator(const KernelArchive& archive) {
   return std::make_unique<mdc::MdcOperator>(archive.nt, archive.freq_bins,
                                             make_kernels(archive));
-}
-
-std::vector<double> archive_kernel_bytes(const std::string& path) {
-  return peek_archive_extents(path).freq_payload_bytes;
 }
 
 namespace {
@@ -720,243 +747,114 @@ void save_shared_archive(const std::string& path,
   if (!os) throw std::runtime_error("tlrwse::io: write failed: " + path);
 }
 
-namespace {
-
-/// Seeks past one core's matrices (the flag and rank were already read).
-void skip_core_mats(std::istream& is, bool factored,
-                    tlr::StoragePrecision p = tlr::StoragePrecision::kFp32) {
-  if (factored) {
-    (void)skip_mat(is, p);
-    (void)skip_mat(is, p);
-  } else {
-    (void)skip_mat(is, p);
-  }
-}
-
-/// Shared body of load_shared_archive / load_shared_archive_slice:
-/// q_end < 0 means the whole archive. Bands with no frequency in
-/// [q_begin, q_end) are seeked past; overlapping bands keep their bases
-/// and only the overlapping cores. A non-null `info` (an extents peek of
-/// the same file) turns each non-overlapping band into a single absolute
-/// seek — no header parsing, no per-core skip walk.
-SharedKernelArchive load_shared_archive_range(const std::string& path,
-                                              index_t q_begin, index_t q_end,
-                                              const ArchiveInfo* info) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("tlrwse::io: cannot read " + path);
-  if (read_u32(is) != kSharedMagic) {
+SharedKernelArchive load_shared_archive(const std::string& path) {
+  std::ifstream is = open_archive(path);
+  const ArchiveInfo info = peek_header(is, path);
+  if (!info.shared_basis) {
     throw std::runtime_error("tlrwse::io: bad shared archive magic in " +
                              path);
   }
-  const std::uint32_t version = read_u32(is);
-  if (version != kFormatVersion && version != kFormatVersionMixed) {
-    throw std::runtime_error("tlrwse::io: unsupported archive version");
-  }
   SharedKernelArchive archive;
-  archive.nt = read_i64(is);
-  archive.dt = read_f64(is);
-  const index_t nf = read_i64(is);
-  TLRWSE_REQUIRE(nf >= 0, "corrupt shared archive");
-  if (q_end < 0) q_end = nf;
-  TLRWSE_REQUIRE(q_begin >= 0 && q_begin <= q_end && q_end <= nf,
-                 "archive slice [", q_begin, ", ", q_end,
-                 ") out of range for ", nf, " frequencies");
-  std::vector<index_t> bins(static_cast<std::size_t>(nf));
-  std::vector<double> hz(static_cast<std::size_t>(nf));
-  for (index_t q = 0; q < nf; ++q) {
-    bins[static_cast<std::size_t>(q)] = read_i64(is);
-    hz[static_cast<std::size_t>(q)] = read_f64(is);
-  }
-  archive.freq_bins.assign(bins.begin() + q_begin, bins.begin() + q_end);
-  archive.freqs_hz.assign(hz.begin() + q_begin, hz.begin() + q_end);
-  (void)read_f64(is);  // payload_bytes: recomputed from the loaded bands
-  const index_t num_bands = read_i64(is);
-  if (!is) {
-    throw std::runtime_error("tlrwse::io: truncated shared archive header");
-  }
-  TLRWSE_REQUIRE(num_bands >= 0, "corrupt shared archive");
-  const bool seek_extents = info != nullptr && info->has_extents();
-  if (seek_extents) {
-    TLRWSE_REQUIRE(static_cast<index_t>(info->extents.size()) == num_bands,
-                   "archive extents do not match file: ",
-                   info->extents.size(), " granules for ", num_bands,
-                   " bands");
-  }
+  archive.nt = info.nt;
+  archive.dt = info.dt;
+  archive.freq_bins = info.freq_bins;
+  archive.freqs_hz = info.freqs_hz;
   index_t band_start = 0;  // global index of this band's first frequency
-  for (index_t bi = 0; bi < num_bands; ++bi) {
-    if (seek_extents) {
-      const ShardExtent& e = info->extents[static_cast<std::size_t>(bi)];
-      TLRWSE_REQUIRE(e.first_freq == band_start,
-                     "archive extents do not match file: band ", bi,
-                     " starts at frequency ", e.first_freq, ", expected ",
-                     band_start);
-      if (e.first_freq + e.num_freqs <= q_begin || e.first_freq >= q_end) {
-        // No overlap: one absolute seek past the whole band.
-        is.seekg(e.offset + e.bytes);
-        if (!is) {
-          throw std::runtime_error("tlrwse::io: truncated shared archive");
-        }
-        band_start += e.num_freqs;
-        continue;
-      }
-      is.seekg(e.offset);
-      if (!is) {
-        throw std::runtime_error("tlrwse::io: truncated shared archive");
-      }
+  for (index_t bi = 0; bi < info.num_bands; ++bi) {
+    const BandHeader h = read_band_header(is, path, info.format_version,
+                                          info.num_freqs() - band_start);
+    Band band = read_band(is, h, 0, h.num_freqs);
+    band_start += h.num_freqs;
+    if (h.num_freqs > 0) {
+      archive.bands.push_back(std::make_shared<const Band>(std::move(band)));
     }
-    if (read_u32(is) != kBandMagic) {
-      throw std::runtime_error("tlrwse::io: bad band magic in " + path);
-    }
-    const index_t rows = read_i64(is);
-    const index_t cols = read_i64(is);
-    const index_t nb = read_i64(is);
-    const double acc = read_f64(is);
-    const index_t band_nf = read_i64(is);
-    if (!is) throw std::runtime_error("tlrwse::io: truncated shared archive");
-    TLRWSE_REQUIRE(band_nf >= 0 && band_nf <= nf,
-                   "corrupt shared archive band");
-    TLRWSE_REQUIRE(rows <= kMaxArchiveDim && cols <= kMaxArchiveDim,
-                   "corrupt shared archive band: dims out of range");
-    tlr::StoragePrecision band_prec = tlr::StoragePrecision::kFp32;
-    if (version == kFormatVersionMixed) {
-      std::uint8_t tag{};
-      is.read(reinterpret_cast<char*>(&tag), 1);
-      if (!is) {
-        throw std::runtime_error("tlrwse::io: truncated shared archive");
-      }
-      TLRWSE_REQUIRE(tlr::valid_precision_tag(tag),
-                     "corrupt shared archive: bad precision tag");
-      band_prec = static_cast<tlr::StoragePrecision>(tag);
-    }
-    const tlr::TileGrid g(rows, cols, nb);
-    const auto ntiles = static_cast<std::size_t>(g.num_tiles());
-    // The band covers global frequencies [band_start, band_start+band_nf);
-    // keep its cores intersecting the requested [q_begin, q_end).
-    const index_t keep_lo = std::max(q_begin - band_start, index_t{0});
-    const index_t keep_hi = std::min(q_end - band_start, band_nf);
-    band_start += band_nf;
-    if (keep_lo >= keep_hi) {
-      // No overlap: seek past the bases and every core.
-      for (std::size_t t = 0; t < 2 * ntiles; ++t) {
-        (void)skip_mat(is, band_prec);
-      }
-      for (index_t f = 0; f < band_nf; ++f) {
-        for (std::size_t t = 0; t < ntiles; ++t) {
-          const bool factored = read_u32(is) != 0;
-          (void)read_i64(is);
-          if (!is) {
-            throw std::runtime_error(
-                "tlrwse::io: truncated shared archive");
-          }
-          skip_core_mats(is, factored, band_prec);
-        }
-      }
-      continue;
-    }
-    std::vector<la::MatrixCF> u(ntiles), vh(ntiles);
-    for (index_t j = 0; j < g.nt(); ++j) {
-      for (index_t i = 0; i < g.mt(); ++i) {
-        // A shared basis cannot out-rank its tile (orthonormal columns /
-        // rows); from_parts re-checks the exact dimensions below.
-        const auto t = static_cast<std::size_t>(g.tile_index(i, j));
-        u[t] = read_mat(is, g.tile_rows(i), g.tile_rows(i), band_prec);
-        vh[t] = read_mat(is, g.tile_cols(j), g.tile_cols(j), band_prec);
-      }
-    }
-    using Band = tlr::SharedBasisStackedTlr<cf32>;
-    std::vector<std::vector<Band::Core>> cores(
-        static_cast<std::size_t>(keep_hi - keep_lo),
-        std::vector<Band::Core>(ntiles));
-    for (index_t f = 0; f < band_nf; ++f) {
-      const bool keep = f >= keep_lo && f < keep_hi;
-      for (index_t j = 0; j < g.nt(); ++j) {
-        for (index_t i = 0; i < g.mt(); ++i) {
-          const auto t = static_cast<std::size_t>(g.tile_index(i, j));
-          const bool factored = read_u32(is) != 0;
-          const index_t rank = read_i64(is);
-          if (!is) {
-            throw std::runtime_error(
-                "tlrwse::io: truncated shared archive");
-          }
-          if (!keep) {
-            skip_core_mats(is, factored, band_prec);
-            continue;
-          }
-          Band::Core& c = cores[static_cast<std::size_t>(f - keep_lo)][t];
-          c.factored = factored;
-          c.rank = rank;
-          // Cores live inside the tile's shared bases, so their dims are
-          // bounded by the basis ranks just read (exactness is enforced
-          // by from_parts; the bound stops arena-overrun-sized reads).
-          const index_t ku = u[t].cols();
-          const index_t kv = vh[t].rows();
-          if (c.factored) {
-            const index_t rmax = std::min(ku, kv);
-            c.lr.U = read_mat(is, ku, rmax, band_prec);
-            c.lr.Vh = read_mat(is, rmax, kv, band_prec);
-          } else {
-            c.dense = read_mat(is, ku, kv, band_prec);
-          }
-        }
-      }
-    }
-    if (!is) throw std::runtime_error("tlrwse::io: truncated shared archive");
-    Band band = Band::from_parts(g, acc, std::move(u), std::move(vh),
-                                 std::move(cores));
-    // Re-tag the band: the payload values are already rounded, so
-    // set_precision is a lossless no-op on the data and restores the
-    // precision-aware byte accounting and packed-plan packing.
-    if (tlr::is_half(band_prec)) band.set_precision(band_prec);
-    archive.bands.push_back(std::make_shared<const Band>(std::move(band)));
   }
-  TLRWSE_REQUIRE(band_start == nf,
+  TLRWSE_REQUIRE(band_start == info.num_freqs(),
                  "corrupt shared archive: band frequency counts do not "
                  "cover the header frequency list");
-  index_t band_freqs = 0;
-  for (const auto& b : archive.bands) band_freqs += b->num_freqs();
-  TLRWSE_REQUIRE(band_freqs == q_end - q_begin,
-                 "corrupt shared archive: sliced band frequency counts do "
-                 "not cover the requested range");
   return archive;
-}
-
-}  // namespace
-
-SharedKernelArchive load_shared_archive(const std::string& path) {
-  return load_shared_archive_range(path, 0, -1, nullptr);
-}
-
-SharedKernelArchive load_shared_archive_slice(const std::string& path,
-                                              index_t q_begin,
-                                              index_t q_end) {
-  TLRWSE_REQUIRE(q_end >= 0, "archive slice end must be non-negative");
-  return load_shared_archive_range(path, q_begin, q_end, nullptr);
-}
-
-SharedKernelArchive load_shared_archive_slice(const std::string& path,
-                                              index_t q_begin, index_t q_end,
-                                              const ArchiveInfo& info) {
-  TLRWSE_REQUIRE(q_end >= 0, "archive slice end must be non-negative");
-  TLRWSE_REQUIRE(info.has_extents() && info.shared_basis,
-                 "extent-seeking slice needs a TLRS extents peek");
-  return load_shared_archive_range(path, q_begin, q_end, &info);
-}
-
-std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
-    const SharedKernelArchive& archive) {
-  std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
-  kernels.reserve(static_cast<std::size_t>(archive.num_freqs()));
-  for (const auto& band : archive.bands) {
-    auto band_kernels = mdc::make_shared_basis_kernels(*band);
-    for (auto& k : band_kernels) kernels.push_back(std::move(k));
-  }
-  return kernels;
 }
 
 std::unique_ptr<mdc::MdcOperator> make_operator(
     const SharedKernelArchive& archive) {
+  std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
+  kernels.reserve(static_cast<std::size_t>(archive.num_freqs()));
+  for (const auto& band : archive.bands) {
+    for (auto& k : mdc::make_shared_basis_kernels(*band)) {
+      kernels.push_back(std::move(k));
+    }
+  }
   return std::make_unique<mdc::MdcOperator>(archive.nt, archive.freq_bins,
-                                            make_kernels(archive));
+                                            std::move(kernels));
+}
+
+LoadedKernels load_kernels(const std::string& path, const ArchiveInfo& info,
+                           index_t q_begin, index_t q_end) {
+  TLRWSE_REQUIRE(info.has_extents(),
+                 "load_kernels needs an extents peek (peek_archive_extents)");
+  TLRWSE_REQUIRE(q_begin >= 0 && q_begin <= q_end &&
+                     q_end <= info.num_freqs(),
+                 "archive range [", q_begin, ", ", q_end,
+                 ") out of range for ", info.num_freqs(), " frequencies");
+  std::ifstream is = open_archive(path);
+  const ArchiveInfo head = peek_header(is, path);
+  TLRWSE_REQUIRE(head.shared_basis == info.shared_basis &&
+                     head.format_version == info.format_version &&
+                     head.nt == info.nt && head.freq_bins == info.freq_bins &&
+                     head.num_bands == info.num_bands,
+                 "archive extents do not match ", path,
+                 ": its header differs from the peek's");
+  const std::uint32_t granule_magic =
+      info.shared_basis ? kBandMagic : kTlrMagic;
+  LoadedKernels out;
+  out.kernels.reserve(static_cast<std::size_t>(q_end - q_begin));
+  for (const ShardExtent& e : info.extents) {
+    const index_t begin = std::max(q_begin, e.first_freq);
+    const index_t end = std::min(q_end, e.first_freq + e.num_freqs);
+    if (begin >= end) continue;
+    // A granule must start at its recorded offset and end where its
+    // extent does; anything else means `info` peeked another file.
+    is.seekg(e.offset);
+    const std::uint32_t magic = read_u32(is);
+    TLRWSE_REQUIRE(is && magic == granule_magic,
+                   "archive extents do not match ", path,
+                   ": no granule at byte ", e.offset);
+    is.seekg(e.offset);
+    if (info.shared_basis) {
+      const BandHeader h = read_band_header(is, path, info.format_version,
+                                            e.num_freqs);
+      TLRWSE_REQUIRE(h.num_freqs == e.num_freqs,
+                     "archive extents do not match ", path, ": band at byte ",
+                     e.offset, " holds ", h.num_freqs, " frequencies, not ",
+                     e.num_freqs);
+      const Band band =
+          read_band(is, h, begin - e.first_freq, end - e.first_freq);
+      out.bytes += band.shared_bytes();
+      out.fp32_bytes += band.fp32_bytes();
+      for (auto& k : mdc::make_shared_basis_kernels(band)) {
+        out.kernels.push_back(std::move(k));
+      }
+    } else {
+      const tlr::TlrMatrix<cf32> k =
+          read_tlr_tiles(is, read_tlr_kernel_header(is, path));
+      out.bytes += k.compressed_bytes();
+      out.fp32_bytes += k.fp32_bytes();
+      out.kernels.push_back(
+          std::make_unique<mdc::TlrMvm>(tlr::StackedTlr<cf32>(k)));
+    }
+    TLRWSE_REQUIRE(static_cast<std::int64_t>(is.tellg()) ==
+                       e.offset + e.bytes,
+                   "archive extents do not match ", path, ": the granule at "
+                   "byte ", e.offset, " is not ", e.bytes, " bytes");
+  }
+  return out;
+}
+
+std::unique_ptr<mdc::MdcOperator> open_operator(const std::string& path) {
+  const ArchiveInfo info = peek_archive_extents(path);
+  LoadedKernels loaded = load_kernels(path, info, 0, info.num_freqs());
+  return std::make_unique<mdc::MdcOperator>(info.nt, info.freq_bins,
+                                            std::move(loaded.kernels));
 }
 
 }  // namespace tlrwse::io

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tlrwse/obs/metrics_registry.hpp"
@@ -44,6 +45,21 @@ struct SloConfig {
   /// Directory for slow-request exemplar traces; empty disables persisting.
   std::string exemplar_dir;
   std::size_t max_exemplars = 32;  // directory bound (oldest evicted)
+};
+
+/// The window gauges of one metric prefix (<prefix>.slo.p50_us/.p95_us/
+/// .p99_us microseconds, <prefix>.slo.burn_rate_milli in 1/1000ths,
+/// <prefix>.slo.window_count/.window_breaches/.window_errors), resolved
+/// once so that publishing a window takes no registry lock.
+struct SloGauges {
+  SloGauges(MetricsRegistry& reg, std::string_view prefix);
+  Gauge& p50_us;
+  Gauge& p95_us;
+  Gauge& p99_us;
+  Gauge& burn_rate_milli;
+  Gauge& window_count;
+  Gauge& window_breaches;
+  Gauge& window_errors;
 };
 
 class SloTracker {
@@ -93,10 +109,8 @@ class SloTracker {
   std::string persist_exemplar(std::uint64_t request_id,
                                const std::string& json);
 
-  /// Publishes the current window as gauges (<prefix>.slo.p50_us/.p95_us/
-  /// .p99_us microseconds, <prefix>.slo.burn_rate_milli in 1/1000ths,
-  /// <prefix>.slo.window_count/.window_breaches/.window_errors).
-  void publish(MetricsRegistry& reg, std::string_view prefix) const;
+  /// Publishes the current window into `gauges`.
+  void publish(const SloGauges& gauges) const;
 
  private:
   struct Slot {

@@ -168,20 +168,24 @@ std::string SloTracker::Window::to_json() const {
   return os.str();
 }
 
-void SloTracker::publish(MetricsRegistry& reg, std::string_view prefix) const {
+SloGauges::SloGauges(MetricsRegistry& reg, std::string_view prefix)
+    : p50_us(reg.gauge(std::string(prefix) + ".slo.p50_us")),
+      p95_us(reg.gauge(std::string(prefix) + ".slo.p95_us")),
+      p99_us(reg.gauge(std::string(prefix) + ".slo.p99_us")),
+      burn_rate_milli(reg.gauge(std::string(prefix) + ".slo.burn_rate_milli")),
+      window_count(reg.gauge(std::string(prefix) + ".slo.window_count")),
+      window_breaches(reg.gauge(std::string(prefix) + ".slo.window_breaches")),
+      window_errors(reg.gauge(std::string(prefix) + ".slo.window_errors")) {}
+
+void SloTracker::publish(const SloGauges& gauges) const {
   const Window w = window();
-  const std::string p(prefix);
-  reg.gauge(p + ".slo.p50_us").set(static_cast<std::int64_t>(w.p50_s * 1e6));
-  reg.gauge(p + ".slo.p95_us").set(static_cast<std::int64_t>(w.p95_s * 1e6));
-  reg.gauge(p + ".slo.p99_us").set(static_cast<std::int64_t>(w.p99_s * 1e6));
-  reg.gauge(p + ".slo.burn_rate_milli")
-      .set(static_cast<std::int64_t>(w.burn_rate * 1e3));
-  reg.gauge(p + ".slo.window_count")
-      .set(static_cast<std::int64_t>(w.count));
-  reg.gauge(p + ".slo.window_breaches")
-      .set(static_cast<std::int64_t>(w.breaches));
-  reg.gauge(p + ".slo.window_errors")
-      .set(static_cast<std::int64_t>(w.errors));
+  gauges.p50_us.set(static_cast<std::int64_t>(w.p50_s * 1e6));
+  gauges.p95_us.set(static_cast<std::int64_t>(w.p95_s * 1e6));
+  gauges.p99_us.set(static_cast<std::int64_t>(w.p99_s * 1e6));
+  gauges.burn_rate_milli.set(static_cast<std::int64_t>(w.burn_rate * 1e3));
+  gauges.window_count.set(static_cast<std::int64_t>(w.count));
+  gauges.window_breaches.set(static_cast<std::int64_t>(w.breaches));
+  gauges.window_errors.set(static_cast<std::int64_t>(w.errors));
 }
 
 }  // namespace tlrwse::obs

@@ -71,29 +71,8 @@ ArchiveShardSource::ArchiveShardSource(std::string path, io::ArchiveInfo info)
 }
 
 ShardKernels ArchiveShardSource::load(index_t q_begin, index_t q_end) {
-  // Granule by granule: a multi-granule shard (the pinned prefix) holds at
-  // most one granule in archive form beside the kernels already built, so
-  // its load peaks no higher than a one-granule load.
-  ShardKernels out;
-  for (const io::ShardExtent& e : info_.extents) {
-    const index_t begin = std::max(q_begin, e.first_freq);
-    const index_t end = std::min(q_end, e.first_freq + e.num_freqs);
-    if (begin >= end) continue;
-    std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
-    if (info_.shared_basis) {
-      const io::SharedKernelArchive slice =
-          io::load_shared_archive_slice(path_, begin, end, info_);
-      out.bytes += slice.shared_bytes();
-      kernels = io::make_kernels(slice);
-    } else {
-      const io::KernelArchive slice =
-          io::load_archive_slice(path_, begin, end, info_);
-      out.bytes += slice.compressed_bytes();
-      kernels = io::make_kernels(slice);
-    }
-    std::move(kernels.begin(), kernels.end(), std::back_inserter(out.kernels));
-  }
-  return out;
+  io::LoadedKernels loaded = io::load_kernels(path_, info_, q_begin, q_end);
+  return {std::move(loaded.kernels), loaded.bytes};
 }
 
 ShardStreamer::ShardStreamer(std::shared_ptr<ShardSource> source,

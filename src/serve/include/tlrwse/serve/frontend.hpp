@@ -60,7 +60,7 @@ enum class SolveStatus {
   kQueueFull,         // bounded admission queue was full (backpressure)
   kQuotaExceeded,     // tenant's in-flight quota was exhausted
   kDeadlineExceeded,  // per-request deadline passed before/during the solve
-  kArchiveMissing,    // named archive absent or unreadable at admission/load
+  kArchiveMissing,    // archive absent, or its header unreadable at admission
   kWorkerFailed,      // a remote shard lost every replica mid-solve
   kCancelled,         // cancel(request_id) landed before completion
   kError,             // unexpected solve/loader failure (details in .error)
@@ -122,6 +122,13 @@ class SourceError : public std::runtime_error {
  private:
   SolveStatus status_;
 };
+
+/// The typed failure of an operator that could not be loaded from
+/// `archive_id`: kArchiveMissing when the file is absent, kError when it
+/// exists but does not load (truncated, corrupt). Every source's acquire
+/// decides its archive-side failures through this one rule.
+[[nodiscard]] SourceError archive_load_error(const std::string& archive_id,
+                                             const std::string& what);
 
 /// Where an operator lives: the seam between the Frontend and a backend.
 /// Implementations must be safe to call from every engine worker at once.
@@ -261,6 +268,7 @@ class Frontend {
   obs::Histogram& solve_hist_;
   obs::StageRecorder stage_recorder_;
   obs::SloTracker slo_;
+  obs::SloGauges slo_gauges_;
 
   AdmissionQueue<OperatorKey, Ticket, OperatorKeyHash> queue_;
   std::atomic<bool> shut_down_{false};

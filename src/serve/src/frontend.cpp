@@ -1,6 +1,7 @@
 #include "tlrwse/serve/frontend.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <iterator>
 #include <sstream>
 #include <utility>
@@ -49,6 +50,15 @@ const char* to_string(SolveStatus s) {
   return "unknown";
 }
 
+SourceError archive_load_error(const std::string& archive_id,
+                               const std::string& what) {
+  // The archive can vanish between the admission peek and the load.
+  return SourceError(std::filesystem::exists(archive_id)
+                         ? SolveStatus::kError
+                         : SolveStatus::kArchiveMissing,
+                     what);
+}
+
 Frontend::Frontend(FrontendConfig cfg, OperatorSource& source,
                    obs::MetricsRegistry& registry)
     : cfg_(std::move(cfg)),
@@ -66,6 +76,7 @@ Frontend::Frontend(FrontendConfig cfg, OperatorSource& source,
       solve_hist_(registry_.histogram(metric(source, "solve_s"))),
       stage_recorder_(registry_, source.metric_prefix()),
       slo_(cfg_.slo),
+      slo_gauges_(registry_, source.metric_prefix()),
       queue_(cfg_.queue_capacity),
       exec_(std::max(1, cfg_.workers)) {
   TLRWSE_REQUIRE(cfg_.workers > 0, "frontend needs at least one worker");
@@ -426,7 +437,7 @@ void Frontend::respond(Ticket& ticket, SolveResponse r) {
 
 void Frontend::record_slo(const SolveResponse& r) {
   slo_.record(r.total_s, r.status == SolveStatus::kOk);
-  slo_.publish(registry_, source_.metric_prefix());
+  slo_.publish(slo_gauges_);
   if (!slo_.breaches_objective(r.total_s) ||
       slo_.config().exemplar_dir.empty()) {
     return;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <filesystem>
 #include <iterator>
 
 #ifdef _OPENMP
@@ -109,11 +108,7 @@ std::unique_ptr<OperatorSource::Lease> LocalSource::acquire(
     resident = cache_.get_or_load(key, [&] { return load(key); });
   } catch (const std::exception& e) {
     publish_cache_stats();  // counts the load failure
-    // The archive can vanish between the admission peek and the load.
-    throw SourceError(std::filesystem::exists(key.archive_id)
-                          ? SolveStatus::kError
-                          : SolveStatus::kArchiveMissing,
-                      e.what());
+    throw archive_load_error(key.archive_id, e.what());
   }
   publish_cache_stats();
   return std::make_unique<LocalLease>(std::move(resident));
@@ -122,54 +117,35 @@ std::unique_ptr<OperatorSource::Lease> LocalSource::acquire(
 OperatorCache::Value LocalSource::load(const OperatorKey& key) const {
   TLRWSE_TRACE_SPAN("serve.load_operator", "serve");
   auto resident = std::make_shared<ResidentOperator>();
-  // Archives over the residency cap are served out-of-core: one extents
-  // peek prices the payload AND seeds both the stream plan and every later
-  // slice load (a single directory read). The cache is charged the stream
-  // budget, so an over-budget archive is admitted as long as the plan's
-  // window fits; otherwise the kBudgetTooSmall throw propagates to every
-  // waiter as a typed load failure.
-  if (max_resident_bytes_ > 0.0) {
-    io::ArchiveInfo info = io::peek_archive_extents(key.archive_id);
-    if (info.payload_bytes > max_resident_bytes_) {
-      oocache::StreamConfig stream_cfg;
-      stream_cfg.budget_bytes = max_resident_bytes_;
-      oocache::StreamedOperator streamed = oocache::make_streamed_operator(
-          key.archive_id, std::move(info), stream_cfg);
-      resident->streamer = std::move(streamed.streamer);
-      // Streamed entries are priced at their window budget regardless of
-      // storage precision (fp32_bytes stays 0 = "same as bytes"); the
-      // capacity win shows up as more frequencies per window instead.
-      resident->bytes = resident->streamer->budget_bytes();
-      resident->nt = streamed.info.nt;
-      resident->freqs_hz = std::move(streamed.info.freqs_hz);
-      resident->op = std::move(streamed.op);
-      resident->op->set_inner_threads(inner_threads_);
-      return resident;
-    }
-  }
-  // The header names the container format; shared-basis archives charge
-  // the cache their (band-shared) payload bytes, so more of them fit in
-  // one budget than per-frequency archives of the same survey.
-  const io::ArchiveInfo info = io::peek_archive(key.archive_id);
-  if (info.shared_basis) {
-    io::SharedKernelArchive archive =
-        io::load_shared_archive(key.archive_id);
-    resident->bytes = archive.shared_bytes();
-    for (const auto& b : archive.bands) {
-      resident->fp32_bytes += b->fp32_bytes();
-    }
-    resident->nt = archive.nt;
-    resident->freqs_hz = archive.freqs_hz;
-    resident->op = io::make_operator(archive);
+  // One extents peek prices the payload AND seeds every granule load (a
+  // single directory read), whatever the container format.
+  io::ArchiveInfo info = io::peek_archive_extents(key.archive_id);
+  resident->nt = info.nt;
+  resident->freqs_hz = info.freqs_hz;
+  // Archives over the residency cap are served out-of-core. The cache is
+  // charged the stream budget, so an over-budget archive is admitted as
+  // long as the plan's window fits; otherwise the kBudgetTooSmall throw
+  // propagates to every waiter as a typed load failure.
+  if (max_resident_bytes_ > 0.0 && info.payload_bytes > max_resident_bytes_) {
+    oocache::StreamConfig stream_cfg;
+    stream_cfg.budget_bytes = max_resident_bytes_;
+    oocache::StreamedOperator streamed = oocache::make_streamed_operator(
+        key.archive_id, std::move(info), stream_cfg);
+    resident->streamer = std::move(streamed.streamer);
+    // Streamed entries are priced at their window budget regardless of
+    // storage precision (fp32_bytes stays 0 = "same as bytes"); the
+    // capacity win shows up as more frequencies per window instead.
+    resident->bytes = resident->streamer->budget_bytes();
+    resident->op = std::move(streamed.op);
   } else {
-    io::KernelArchive archive = io::load_archive(key.archive_id);
-    resident->bytes = archive.compressed_bytes();
-    for (const auto& k : archive.kernels) {
-      resident->fp32_bytes += k.fp32_bytes();
-    }
-    resident->nt = archive.nt;
-    resident->freqs_hz = archive.freqs_hz;
-    resident->op = io::make_operator(archive);
+    // The cache is charged the payload as stored: shared-basis bands and
+    // packed half tiles let more operators fit in one budget.
+    io::LoadedKernels loaded =
+        io::load_kernels(key.archive_id, info, 0, info.num_freqs());
+    resident->bytes = loaded.bytes;
+    resident->fp32_bytes = loaded.fp32_bytes;
+    resident->op = std::make_unique<mdc::MdcOperator>(
+        info.nt, info.freq_bins, std::move(loaded.kernels));
   }
   // One worker drives each solve; cap the frequency loop's team so the
   // workers together use the machine instead of oversubscribing it.

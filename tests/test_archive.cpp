@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -423,19 +425,6 @@ TEST(MixedArchive, ExtentsPriceHalfPayloadAtPackedBytes) {
                 info32.freq_payload_bytes[q] / 2.0,
                 1e-6 * info32.freq_payload_bytes[q]);
   }
-  // Extent-seeking slice loads stay bitwise on the packed payloads.
-  const auto slice = load_archive_slice(f16.path, 1, 3, info16);
-  ASSERT_EQ(slice.num_freqs(), 2);
-  for (index_t q = 0; q < 2; ++q) {
-    const auto& a = archive.kernels[static_cast<std::size_t>(q + 1)];
-    const auto& b = slice.kernels[static_cast<std::size_t>(q)];
-    for (index_t j = 0; j < a.grid().nt(); ++j) {
-      for (index_t i = 0; i < a.grid().mt(); ++i) {
-        EXPECT_TRUE(a.tile(i, j).U == b.tile(i, j).U);
-        EXPECT_EQ(b.precision(i, j), tlr::StoragePrecision::kFp16);
-      }
-    }
-  }
 }
 
 TEST(MixedArchive, TruncatedHalfArchiveThrows) {
@@ -545,6 +534,196 @@ TEST(MixedSharedArchive, QuantizedBandRoundTripIsBitwise) {
   for (std::size_t i = 0; i < x1.x.size(); ++i) {
     EXPECT_EQ(x1.x[i], x2.x[i]);
   }
+}
+
+// ------------------------------------------------ format-blind loader --
+
+struct LoaderCase {
+  const char* name;
+  bool shared;  // TLRS with 4-wide bands, else TLRA
+  tlr::StoragePrecision precision;
+};
+
+void PrintTo(const LoaderCase& c, std::ostream* os) { *os << c.name; }
+
+/// The case's archive at accuracy `acc`, saved to `path`.
+void save_case(const LoaderCase& c, double acc, const std::string& path) {
+  if (c.shared) {
+    tlr::SharedBasisConfig cfg = sc();
+    cfg.acc = acc;
+    auto archive = build_shared_archive(dataset(), cfg, 4);
+    quantize_shared_archive(archive, c.precision);
+    save_shared_archive(path, archive);
+  } else {
+    tlr::CompressionConfig cfg = cc();
+    cfg.acc = acc;
+    auto archive = build_archive(dataset(), cfg);
+    if (c.precision != tlr::StoragePrecision::kFp32) {
+      quantize_archive(archive, all_fp16());
+    }
+    save_archive(path, archive);
+  }
+}
+
+using Band = tlr::SharedBasisStackedTlr<cf32>;
+
+/// Frequencies [lo, hi) of a band, built here from its parts.
+Band trimmed(const Band& b, index_t lo, index_t hi) {
+  const tlr::TileGrid& g = b.grid();
+  const auto ntiles = static_cast<std::size_t>(g.num_tiles());
+  std::vector<la::MatrixCF> u(ntiles), vh(ntiles);
+  std::vector<std::vector<Band::Core>> cores(
+      static_cast<std::size_t>(hi - lo), std::vector<Band::Core>(ntiles));
+  for (index_t j = 0; j < g.nt(); ++j) {
+    for (index_t i = 0; i < g.mt(); ++i) {
+      const auto t = static_cast<std::size_t>(g.tile_index(i, j));
+      u[t] = b.basis_u(i, j);
+      vh[t] = b.basis_vh(i, j);
+      for (index_t f = lo; f < hi; ++f) {
+        cores[static_cast<std::size_t>(f - lo)][t] = b.core(f, i, j);
+      }
+    }
+  }
+  Band out = Band::from_parts(g, b.acc(), std::move(u), std::move(vh),
+                              std::move(cores));
+  out.set_precision(b.precision());
+  return out;
+}
+
+bool bitwise_equal(const std::vector<cf32>& a, const std::vector<cf32>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cf32)) == 0;
+}
+
+/// apply, apply_adjoint and a 4-RHS apply_batch of `got` must equal
+/// those of `want` bit for bit.
+void expect_same_kernel(const mdc::FrequencyMvm& want,
+                        const mdc::FrequencyMvm& got, index_t q) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  constexpr index_t kRhs = 4;
+  const auto m = static_cast<std::size_t>(want.rows());
+  const auto n = static_cast<std::size_t>(want.cols());
+  std::vector<cf32> x(kRhs * n), y(kRhs * m);
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    x[k] = cf32(std::sin(0.37f * static_cast<float>(k + q)),
+                std::cos(0.11f * static_cast<float>(k)));
+  }
+  for (std::size_t k = 0; k < y.size(); ++k) {
+    y[k] = cf32(std::cos(0.23f * static_cast<float>(k + q)),
+                std::sin(0.05f * static_cast<float>(k)));
+  }
+  mdc::FrequencyWorkspace ws;
+  std::vector<cf32> a(m), b(m), c(n), d(n), e(kRhs * m), f(kRhs * m);
+  want.apply(std::span<const cf32>(x).first(n), a, ws);
+  got.apply(std::span<const cf32>(x).first(n), b, ws);
+  EXPECT_TRUE(bitwise_equal(a, b)) << "apply, frequency " << q;
+  want.apply_adjoint(std::span<const cf32>(y).first(m), c, ws);
+  got.apply_adjoint(std::span<const cf32>(y).first(m), d, ws);
+  EXPECT_TRUE(bitwise_equal(c, d)) << "apply_adjoint, frequency " << q;
+  want.apply_batch(x, e, kRhs, ws);
+  got.apply_batch(x, f, kRhs, ws);
+  EXPECT_TRUE(bitwise_equal(e, f)) << "apply_batch, frequency " << q;
+}
+
+class LoadKernelsRange : public ::testing::TestWithParam<LoaderCase> {};
+
+TEST_P(LoadKernelsRange, EveryRangeIsBitwiseAndPricedPerGranule) {
+  const LoaderCase& c = GetParam();
+  TempFile file("tlrwse_load_kernels.bin"), other("tlrwse_load_other.bin");
+  save_case(c, 1e-4, file.path);
+  save_case(c, 1e-2, other.path);
+  const ArchiveInfo info = peek_archive_extents(file.path);
+  const ArchiveInfo other_info = peek_archive_extents(other.path);
+  const index_t nf = info.num_freqs();
+  ASSERT_GE(nf, 5);
+
+  // The full-load reference: kernels and each whole granule's figures.
+  std::vector<std::unique_ptr<mdc::FrequencyMvm>> full;
+  SharedKernelArchive shared;
+  KernelArchive plain;
+  if (c.shared) {
+    shared = load_shared_archive(file.path);
+    ASSERT_EQ(shared.num_bands(), static_cast<index_t>(info.extents.size()));
+    for (const auto& band : shared.bands) {
+      for (auto& k : mdc::make_shared_basis_kernels(*band)) {
+        full.push_back(std::move(k));
+      }
+    }
+  } else {
+    plain = load_archive(file.path);
+    full = make_kernels(plain);
+  }
+  ASSERT_EQ(static_cast<index_t>(full.size()), nf);
+
+  for (index_t q0 = 0; q0 < nf; ++q0) {
+    for (index_t q1 = q0 + 1; q1 <= nf; ++q1) {
+      SCOPED_TRACE(testing::Message() << "range [" << q0 << ", " << q1 << ")");
+      const LoadedKernels got = load_kernels(file.path, info, q0, q1);
+      ASSERT_EQ(static_cast<index_t>(got.kernels.size()), q1 - q0);
+      for (index_t q = q0; q < q1; ++q) {
+        expect_same_kernel(*full[static_cast<std::size_t>(q)],
+                           *got.kernels[static_cast<std::size_t>(q - q0)], q);
+      }
+      double bytes = 0.0, fp32_bytes = 0.0;
+      for (std::size_t g = 0; g < info.extents.size(); ++g) {
+        const ShardExtent& e = info.extents[g];
+        const index_t lo = std::max(q0, e.first_freq);
+        const index_t hi = std::min(q1, e.first_freq + e.num_freqs);
+        if (lo >= hi) continue;
+        if (c.shared) {
+          const Band part = trimmed(*shared.bands[g], lo - e.first_freq,
+                                    hi - e.first_freq);
+          bytes += part.shared_bytes();
+          fp32_bytes += part.fp32_bytes();
+        } else {
+          bytes += plain.kernels[g].compressed_bytes();
+          fp32_bytes += plain.kernels[g].fp32_bytes();
+        }
+      }
+      EXPECT_EQ(got.bytes, bytes);
+      EXPECT_EQ(got.fp32_bytes, fp32_bytes);
+      // An extents peek of another file never passes for this one.
+      EXPECT_THROW((void)load_kernels(file.path, other_info, q0, q1),
+                   std::invalid_argument);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, LoadKernelsRange,
+    ::testing::Values(
+        LoaderCase{"TlraFp32", false, tlr::StoragePrecision::kFp32},
+        LoaderCase{"TlraFp16", false, tlr::StoragePrecision::kFp16},
+        LoaderCase{"TlrsFp32", true, tlr::StoragePrecision::kFp32},
+        LoaderCase{"TlrsBf16", true, tlr::StoragePrecision::kBf16}),
+    [](const ::testing::TestParamInfo<LoaderCase>& p) {
+      return std::string(p.param.name);
+    });
+
+TEST(OpenOperator, SharedArchiveMatchesWholeLoadBitwise) {
+  // The resident CLI and serve paths open a TLRS archive through here.
+  TempFile f("tlrwse_open_operator.tlrs");
+  save_shared_archive(f.path, build_shared_archive(dataset(), sc(), 4));
+  const auto opened = open_operator(f.path);
+  const auto loaded = make_operator(load_shared_archive(f.path));
+  ASSERT_EQ(opened->rows(), loaded->rows());
+  ASSERT_EQ(opened->cols(), loaded->cols());
+  std::vector<float> x(static_cast<std::size_t>(loaded->cols()));
+  std::vector<float> y(static_cast<std::size_t>(loaded->rows()));
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    x[k] = std::sin(0.01f * static_cast<float>(k));
+  }
+  for (std::size_t k = 0; k < y.size(); ++k) {
+    y[k] = std::cos(0.02f * static_cast<float>(k));
+  }
+  std::vector<float> a(y.size()), b(y.size()), c(x.size()), d(x.size());
+  opened->apply(x, a);
+  loaded->apply(x, b);
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+  opened->apply_adjoint(y, c);
+  loaded->apply_adjoint(y, d);
+  EXPECT_EQ(std::memcmp(c.data(), d.data(), c.size() * sizeof(float)), 0);
 }
 
 TEST(Archive, RejectsCorruptFiles) {

@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -187,6 +189,26 @@ TEST_P(EngineLifecycle, MissingArchiveRejectedAtAdmission) {
   EXPECT_EQ(r.request_id, handle.request_id);
   EXPECT_EQ(engine.counter("rejected_archive_missing"), 1u);
   EXPECT_EQ(engine.counter("admitted"), 0u);
+}
+
+TEST_P(EngineLifecycle, TruncatedArchiveIsAnErrorOnBothSources) {
+  // Half an archive passes the admission peek (its header is intact) but
+  // cannot load: the file exists, so the failure is kError, not missing.
+  TempFile cut("tlrwse_frontend_truncated.tlra");
+  {
+    std::ifstream in(archive_path(), std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+    std::ofstream out(cut.path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  }
+  Engine engine(GetParam(), FrontendConfig{});
+  SolveRequest req = make_request(RequestKind::kAdjoint, 1);
+  req.op.archive_id = cut.path;
+  const auto r = engine.submit(std::move(req)).response.get();
+  EXPECT_EQ(r.status, SolveStatus::kError) << r.error;
+  EXPECT_FALSE(r.error.empty());
+  EXPECT_EQ(engine.counter("admitted"), 1u);
+  EXPECT_EQ(engine.counter("failed"), 1u);
 }
 
 TEST_P(EngineLifecycle, QueueFullIsTypedAndNonBlocking) {

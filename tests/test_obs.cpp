@@ -548,7 +548,8 @@ TEST(SloTracker, PublishesWindowGauges) {
   obs::SloTracker slo(cfg);
   slo.record(0.5, true);  // breach
   obs::MetricsRegistry reg;
-  slo.publish(reg, "svc");
+  const obs::SloGauges gauges(reg, "svc");
+  slo.publish(gauges);
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.gauges.at("svc.slo.window_count"), 1);
   EXPECT_EQ(snap.gauges.at("svc.slo.window_breaches"), 1);

@@ -439,7 +439,6 @@ int cmd_solve(const Args& args) {
   const bool stream_verify = args.integer("stream-verify", 0) != 0;
   std::unique_ptr<mdc::MdcOperator> op;
   std::shared_ptr<oocache::ShardStreamer> streamer;
-  bool shared_basis = false;
   if (stream_mb > 0.0) {
     // Out-of-core: kernels stream disk->RAM under the byte budget while
     // the solve runs, grown to the plan's window when the request is too
@@ -450,7 +449,6 @@ int cmd_solve(const Args& args) {
     auto streamed = oocache::make_streamed_operator(path, scfg);
     op = std::move(streamed.op);
     streamer = streamed.streamer;
-    shared_basis = streamed.info.shared_basis;
     std::printf("streaming %s: %.1f MiB payload in %lld shard(s), budget "
                 "%.1f MiB (window %.1f MiB, pinned %.1f MiB)\n",
                 path.c_str(), streamed.info.payload_bytes / (1024.0 * 1024.0),
@@ -459,8 +457,7 @@ int cmd_solve(const Args& args) {
                 streamer->plan().window_bytes() / (1024.0 * 1024.0),
                 streamer->plan().pinned_bytes() / (1024.0 * 1024.0));
   } else {
-    const auto archive = io::load_archive(path);
-    op = io::make_operator(archive);
+    op = io::open_operator(path);
   }
   // The observed data still comes from the (re-modelled) survey; in a real
   // deployment it would be loaded from disk alongside the archive.
@@ -493,9 +490,7 @@ int cmd_solve(const Args& args) {
   if (stream_verify && streamer != nullptr) {
     // Ground truth: the same solve with every kernel resident. Streaming
     // must change residency timing only, never a single bit of the result.
-    std::unique_ptr<mdc::MdcOperator> resident =
-        shared_basis ? io::make_operator(io::load_shared_archive(path))
-                     : io::make_operator(io::load_archive(path));
+    const auto resident = io::open_operator(path);
     const auto ref = mdd::solve_mdd(*resident, rhs, lsqr);
     const bool bitwise =
         ref.x.size() == sol.x.size() &&
@@ -728,8 +723,7 @@ int cmd_serve(const Args& args) {
     if (verify) {
       // Sequential reference on a fresh operator instance: the service
       // must be bitwise identical per virtual source.
-      const auto archive = io::load_archive(path);
-      const auto op = io::make_operator(archive);
+      const auto op = io::open_operator(path);
       TLRWSE_REQUIRE(op->num_receivers() == nr &&
                          op->num_sources() == data.num_sources(),
                      "archive does not match the survey geometry flags");
@@ -1044,9 +1038,7 @@ int cmd_cluster(const Args& args) {
   if (verify && rc == 0) {
     // Single-process reference on a fresh operator: distributed solves
     // must be bitwise identical per virtual source.
-    const auto op = info.shared_basis
-                        ? io::make_operator(io::load_shared_archive(path))
-                        : io::make_operator(io::load_archive(path));
+    const auto op = io::open_operator(path);
     std::map<index_t, std::vector<float>> reference;
     int mismatched = 0;
     for (const auto& r : responses) {
