@@ -14,10 +14,12 @@
 // Failure semantics: a worker death surfaces as TransportError inside one
 // shard exchange; the operator marks the worker dead, retries the shard on
 // the next live replica, and only when no replica remains does the request
-// fail — typed kWorkerFailed, never a hang. Deadlines travel in each
-// ApplyMsg (remaining budget) and, like cancellation, are polled through
-// the engine's CancelScope before every fan-out; a cancel also broadcasts
-// kCancel so workers abandon the shard mid-loop.
+// fail — typed kWorkerFailed, never a hang. Deadlines and cancellation are
+// polled through the engine's CancelScope before every fan-out (and by
+// LSQR once per iteration); the remaining deadline also travels in each
+// ApplyMsg, so a worker abandons an expired shard mid-loop. A cancel
+// never goes on the wire: it stops the frontend dispatching, and the
+// shard exchange already in flight finishes.
 #pragma once
 
 #include <atomic>
@@ -176,12 +178,12 @@ class RemoteMdcOperator final : public mdc::LinearOperator {
   /// One shard exchange with replica retry; `worker_s` receives the
   /// serving worker's compute seconds. Throws WorkerFailure when the
   /// replica list is exhausted, mdc::CancelledError on a typed
-  /// kCancelled / kDeadlineExceeded reply.
+  /// kDeadlineExceeded reply.
   [[nodiscard]] ApplyOkMsg exchange(const ShardAssignment& shard,
                                     ApplyMsg msg, double& worker_s) const;
   /// Folds one successful exchange's reply into `rt_` (clock sample,
   /// participating-worker set) and returns the worker's compute seconds
-  /// (0 for a v1 reply without clock stamps).
+  /// (0 when the stamps are inconsistent: no clock sample is taken).
   double note_exchange(std::size_t worker, std::uint64_t t0_ns,
                        std::uint64_t t3_ns, const ApplyOkMsg& ok) const;
   void check_abort() const;
@@ -241,8 +243,6 @@ class RemoteSource final : public serve::OperatorSource {
   /// for this operator replans over the workers still alive. Solves
   /// already holding the placement keep it.
   void invalidate(const serve::OperatorKey& key) override;
-  /// Best-effort kCancel broadcast; a dead worker just drops it.
-  void cancel(std::uint64_t request_id) override;
   /// kTraceDump every participating worker and clock-align its spans from
   /// the request's RPC timestamp pairs.
   void collect_trace(obs::RequestTrace& rt,
@@ -288,9 +288,9 @@ class ClusterService {
     return engine_.submit(std::move(req));
   }
 
-  /// Flags the request and broadcasts kCancel to the fleet (best-effort):
-  /// queued requests reject at dequeue, in-flight solves abort between
-  /// remote exchanges / LSQR iterations.
+  /// Flags the request: queued requests reject at dequeue, in-flight
+  /// solves abort before their next fan-out or LSQR iteration. Nothing is
+  /// sent to the workers; an exchange already in flight completes.
   void cancel(std::uint64_t request_id) { engine_.cancel(request_id); }
 
   /// Stops admission, drains admitted requests, joins the solve workers,

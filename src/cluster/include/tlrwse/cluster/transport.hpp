@@ -11,14 +11,15 @@
 //    exercise the exact byte path the sockets carry. kill() makes it
 //    behave like a dead worker (kClosed), which is how the failure tests
 //    simulate a crash deterministically.
-//  - SocketChannel: a connected Unix or TCP stream socket. send() and
-//    receive() run concurrently on the two directions of the stream, so
-//    a worker finds its next request already written when it finishes
-//    the current one.
+//  - SocketChannel: a connected Unix stream socket. send() and receive()
+//    run concurrently on the two directions of the stream, so a worker
+//    finds its next request already written when it finishes the current
+//    one.
 //
 // SocketServer is the worker side: accepts connections and feeds each
-// frame to the handler, writing the handler's reply back. A handler
-// exception becomes a kError frame, never a dropped connection.
+// frame to the handler, one at a time per connection, writing the
+// handler's reply back. A handler exception becomes a kError frame, never
+// a dropped connection.
 #pragma once
 
 #include <atomic>
@@ -94,7 +95,7 @@ class LocalChannel final : public Channel {
   std::atomic<bool> dead_{false};
 };
 
-/// Blocking stream-socket channel (Unix domain or TCP). Reads poll with
+/// Blocking Unix stream-socket channel. Reads poll with
 /// `timeout_ms` so a hung peer surfaces as kTimeout instead of a wedged
 /// frontend. Any transport failure shuts the socket down in both
 /// directions: the stream position is unknown, and a thread blocked on
@@ -105,9 +106,6 @@ class SocketChannel final : public Channel {
 
   static std::unique_ptr<SocketChannel> connect_unix(const std::string& path,
                                                      int timeout_ms = 30000);
-  static std::unique_ptr<SocketChannel> connect_tcp(const std::string& host,
-                                                    std::uint16_t port,
-                                                    int timeout_ms = 30000);
 
   Frame call(const Frame& request) override;
   void send(const Frame& request) override;
@@ -143,21 +141,16 @@ class SocketServer {
 
   static std::unique_ptr<SocketServer> listen_unix(const std::string& path,
                                                    FrameHandler handler);
-  static std::unique_ptr<SocketServer> listen_tcp(std::uint16_t port,
-                                                  FrameHandler handler);
-  /// Port actually bound (useful with listen_tcp(0)); 0 for Unix sockets.
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   void stop();
 
  private:
-  SocketServer(int listen_fd, std::uint16_t port, FrameHandler handler);
+  SocketServer(int listen_fd, FrameHandler handler);
 
   void accept_loop();
   void serve_connection(int fd);
 
   int listen_fd_;
-  std::uint16_t port_;
   FrameHandler handler_;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;

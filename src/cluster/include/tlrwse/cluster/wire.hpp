@@ -8,10 +8,12 @@
 // a remote apply moves the exact bytes a local MdcOperator would gather —
 // the arithmetic, and therefore the solve, stays bitwise identical.
 //
-// Decoding is defensive in the test_archive style: a bad magic, an
-// unsupported version, or an oversized length throws WireError before any
-// allocation sized from attacker-controlled bytes; a short buffer is
-// "need more", never a partial parse.
+// Decoding is defensive in the test_archive style: a bad magic, any
+// version other than kWireVersion, or an oversized length throws WireError
+// before any allocation sized from attacker-controlled bytes; a short
+// buffer is "need more", never a partial parse. Every message field is
+// mandatory: a payload cut anywhere, or carrying trailing bytes, is a
+// WireError.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +30,11 @@
 namespace tlrwse::cluster {
 
 constexpr std::uint32_t kWireMagic = 0x54575250;  // "PRWT" on disk: TWRP
-/// v2 added the optional trailing trace-context field on kApply, the
-/// worker clock stamps on kApplyOk, and the kTraceDump/kHealth message
-/// types. Frames are still decoded down to kMinWireVersion: a v1 frontend
-/// or worker keeps interoperating (the optional trailers simply default).
-constexpr std::uint16_t kWireVersion = 2;
-constexpr std::uint16_t kMinWireVersion = 1;
+/// The only version decode_frame accepts, so a mixed-build fleet fails at
+/// the first header. v2 added the trace context on kApply, the worker
+/// clock stamps on kApplyOk and the kTraceDump/kHealth types; v3 made
+/// those fields mandatory, dropped kCancel/kCancelOk and shrank kHealthOk.
+constexpr std::uint16_t kWireVersion = 3;
 constexpr std::size_t kFrameHeaderBytes = 16;
 /// Payload cap: a corrupt or hostile length field past this is rejected
 /// before it can demand the allocation.
@@ -52,8 +53,6 @@ enum class MsgType : std::uint16_t {
   kLoadShardOk = 2,  // worker -> frontend: shard dimensions
   kApply = 3,        // frontend -> worker: per-frequency spectral slices
   kApplyOk = 4,      // worker -> frontend: per-frequency results
-  kCancel = 5,       // frontend -> worker: abandon a request id
-  kCancelOk = 6,
   kMetrics = 7,      // frontend -> worker: snapshot request
   kMetricsOk = 8,    // worker -> frontend: serialized registry snapshot
   kShutdown = 9,     // frontend -> worker: drain and exit
@@ -69,7 +68,6 @@ enum class WireErrorCode : std::uint16_t {
   kBadRequest = 1,
   kArchiveMissing = 2,
   kUnknownShard = 3,
-  kCancelled = 4,
   kDeadlineExceeded = 5,
   kInternal = 6,
 };
@@ -200,8 +198,7 @@ struct ApplyMsg {
   index_t nrhs = 1;
   double deadline_s = 0.0;  // remaining budget at send time; 0 = none
   std::vector<cf32> data;   // nq * nrhs * (adjoint ? ns : nr) values
-  /// Optional v2 trailer: distributed trace identity. A v1 frame ends at
-  /// `data`; from_frame leaves the context defaulted (trace_id 0) then.
+  /// Distributed trace identity (trace_id 0: the request is not sampled).
   obs::TraceContext trace;
 
   [[nodiscard]] Frame to_frame() const;
@@ -211,29 +208,14 @@ struct ApplyMsg {
 struct ApplyOkMsg {
   std::uint64_t request_id = 0;
   std::vector<cf32> data;  // nq * nrhs * (adjoint ? nr : ns) values
-  /// Optional v2 trailer: the worker's steady clock at frame receive and
-  /// reply send — one NTP-style clock sample per exchange when paired with
-  /// the frontend's send/receive stamps. 0 when absent (v1 peer).
+  /// The worker's steady clock at frame receive and reply send — one
+  /// NTP-style clock sample per exchange when paired with the frontend's
+  /// send/receive stamps.
   std::uint64_t worker_recv_ns = 0;
   std::uint64_t worker_send_ns = 0;
 
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static ApplyOkMsg from_frame(const Frame& f);
-};
-
-struct CancelMsg {
-  std::uint64_t request_id = 0;
-
-  [[nodiscard]] Frame to_frame() const;
-  [[nodiscard]] static CancelMsg from_frame(const Frame& f);
-};
-
-struct CancelOkMsg {
-  std::uint64_t request_id = 0;
-  bool in_flight = false;  // true when the worker saw the request running
-
-  [[nodiscard]] Frame to_frame() const;
-  [[nodiscard]] static CancelOkMsg from_frame(const Frame& f);
 };
 
 struct MetricsMsg {
@@ -260,7 +242,7 @@ struct ShutdownOkMsg {
 
 struct ErrorMsg {
   std::uint64_t request_id = 0;  // 0 for failures outside a request
-  WireErrorCode code = WireErrorCode::kInternal;
+  WireErrorCode code = WireErrorCode::kInternal;  // from_frame rejects others
   std::string message;
 
   [[nodiscard]] Frame to_frame() const;
@@ -304,8 +286,6 @@ struct HealthOkMsg {
   std::uint64_t inflight = 0;  // applies currently executing
   std::uint64_t applies = 0;   // completed applies since start
   double resident_bytes = 0.0;
-  double streamed_bytes = 0.0;  // oocache bytes streamed (0: resident-only)
-  double stall_s = 0.0;         // cumulative oocache stall time
   std::uint64_t dropped_spans = 0;  // remote span buffer overflow, total
   std::vector<ShardInfo> shards;
 

@@ -10,7 +10,10 @@
 //
 // The handler is transport-agnostic: handle() maps one request frame to
 // one reply frame, so the same ShardWorker sits behind a SocketServer in a
-// real worker process and behind a LocalChannel in tests.
+// real worker process and behind a LocalChannel in tests. Both serve one
+// frame at a time per connection, so the worker enforces only what rides
+// in the apply itself: its deadline, checked between per-frequency MVMs.
+// Cancellation stays on the frontend, which stops dispatching.
 #pragma once
 
 #include <atomic>
@@ -19,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
 #include "tlrwse/cluster/wire.hpp"
@@ -77,14 +79,12 @@ class ShardWorker {
 
   Frame handle_load(const LoadShardMsg& msg);
   Frame handle_apply(const ApplyMsg& msg, std::uint64_t recv_ns);
-  Frame handle_cancel(const CancelMsg& msg);
   Frame handle_metrics();
   Frame handle_trace_dump(const TraceDumpMsg& msg);
   Frame handle_shutdown();
 
   mutable std::mutex mu_;
   std::map<std::uint32_t, std::shared_ptr<const Shard>> shards_;
-  std::unordered_set<std::uint64_t> cancelled_;
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> inflight_{0};
   std::atomic<std::uint64_t> span_drops_{0};  // take()-observed drop total

@@ -27,8 +27,7 @@ ApplyOkMsg parse_apply_reply(const Frame& reply) {
   }
   if (reply.type == static_cast<std::uint16_t>(MsgType::kError)) {
     const ErrorMsg err = ErrorMsg::from_frame(reply);
-    if (err.code == WireErrorCode::kCancelled ||
-        err.code == WireErrorCode::kDeadlineExceeded) {
+    if (err.code == WireErrorCode::kDeadlineExceeded) {
       throw mdc::CancelledError(err.message);
     }
     throw WorkerFailure(std::string("worker error (") + to_string(err.code) +
@@ -309,8 +308,8 @@ double RemoteMdcOperator::note_exchange(std::size_t worker,
                                         const ApplyOkMsg& ok) const {
   if (rt_ == nullptr) return 0.0;
   rt_->note_worker(worker);
-  if (ok.worker_recv_ns == 0 || ok.worker_send_ns < ok.worker_recv_ns) {
-    return 0.0;  // v1 worker: no clock stamps, the round trip is all RPC
+  if (ok.worker_send_ns < ok.worker_recv_ns) {
+    return 0.0;  // inconsistent stamps: no clock sample, all RPC time
   }
   rt_->clock_samples[worker].push_back(
       obs::ClockSample{t0_ns, ok.worker_recv_ns, ok.worker_send_ns, t3_ns});
@@ -707,15 +706,6 @@ void RemoteSource::invalidate(const serve::OperatorKey& key) {
   placements_cache_.erase(key);
 }
 
-void RemoteSource::cancel(std::uint64_t request_id) {
-  CancelMsg msg;
-  msg.request_id = request_id;
-  const Frame frame = msg.to_frame();
-  for (const auto& worker : fleet_) {
-    if (worker->alive()) (void)worker->call_async(frame);
-  }
-}
-
 void RemoteSource::collect_trace(obs::RequestTrace& rt,
                                  std::vector<obs::WorkerTrace>& out) {
   TraceDumpMsg dump;
@@ -726,7 +716,7 @@ void RemoteSource::collect_trace(obs::RequestTrace& rt,
     try {
       const Frame reply = fleet_[w]->call(request);
       if (reply.type != static_cast<std::uint16_t>(MsgType::kTraceDumpOk)) {
-        continue;  // v1 worker answered kError; its spans are simply absent
+        continue;  // a worker that answered kError leaves its spans out
       }
       TraceDumpOkMsg ok = TraceDumpOkMsg::from_frame(reply);
       obs::WorkerTrace wt;
@@ -843,8 +833,6 @@ std::string ClusterService::fleet_health_json() {
        << ",\"inflight\":" << wh.health.inflight
        << ",\"applies\":" << wh.health.applies
        << ",\"resident_bytes\":" << wh.health.resident_bytes
-       << ",\"streamed_bytes\":" << wh.health.streamed_bytes
-       << ",\"stall_s\":" << wh.health.stall_s
        << ",\"dropped_spans\":" << wh.health.dropped_spans << ",\"shards\":[";
     for (std::size_t s = 0; s < wh.health.shards.size(); ++s) {
       const auto& sh = wh.health.shards[s];

@@ -1,8 +1,5 @@
 #include "tlrwse/cluster/transport.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -134,31 +131,6 @@ std::unique_ptr<SocketChannel> SocketChannel::connect_unix(
   return std::unique_ptr<SocketChannel>(new SocketChannel(fd, timeout_ms));
 }
 
-std::unique_ptr<SocketChannel> SocketChannel::connect_tcp(
-    const std::string& host, std::uint16_t port, int timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno(TransportError::Kind::kClosed, "socket(tcp)");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw TransportError(TransportError::Kind::kProtocol,
-                         "bad IPv4 address: " + host);
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    throw_errno(TransportError::Kind::kClosed, "connect(tcp)");
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  size_send_buffer(fd);
-  return std::unique_ptr<SocketChannel>(new SocketChannel(fd, timeout_ms));
-}
-
 void SocketChannel::write_all(const std::uint8_t* data, std::size_t n) {
   std::size_t sent = 0;
   while (sent < n) {
@@ -250,9 +222,8 @@ void SocketChannel::close() { poison(); }
 
 // --- SocketServer ---------------------------------------------------------
 
-SocketServer::SocketServer(int listen_fd, std::uint16_t port,
-                           FrameHandler handler)
-    : listen_fd_(listen_fd), port_(port), handler_(std::move(handler)) {
+SocketServer::SocketServer(int listen_fd, FrameHandler handler)
+    : listen_fd_(listen_fd), handler_(std::move(handler)) {
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -280,35 +251,7 @@ std::unique_ptr<SocketServer> SocketServer::listen_unix(
     throw_errno(TransportError::Kind::kClosed, "bind/listen(" + path + ")");
   }
   return std::unique_ptr<SocketServer>(
-      new SocketServer(fd, 0, std::move(handler)));
-}
-
-std::unique_ptr<SocketServer> SocketServer::listen_tcp(std::uint16_t port,
-                                                       FrameHandler handler) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno(TransportError::Kind::kClosed, "socket(tcp)");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(fd, 64) != 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    throw_errno(TransportError::Kind::kClosed, "bind/listen(tcp)");
-  }
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  std::uint16_t actual = port;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &blen) == 0) {
-    actual = ntohs(bound.sin_port);
-  }
-  return std::unique_ptr<SocketServer>(
-      new SocketServer(fd, actual, std::move(handler)));
+      new SocketServer(fd, std::move(handler)));
 }
 
 void SocketServer::accept_loop() {

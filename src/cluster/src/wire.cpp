@@ -23,6 +23,19 @@ void check_type(const Frame& f, MsgType expect) {
   }
 }
 
+/// A decoded error code, or WireError when it names no WireErrorCode.
+WireErrorCode checked_error_code(std::uint16_t code) {
+  switch (static_cast<WireErrorCode>(code)) {
+    case WireErrorCode::kBadRequest:
+    case WireErrorCode::kArchiveMissing:
+    case WireErrorCode::kUnknownShard:
+    case WireErrorCode::kDeadlineExceeded:
+    case WireErrorCode::kInternal:
+      return static_cast<WireErrorCode>(code);
+  }
+  throw WireError("wire: unknown error code " + std::to_string(code));
+}
+
 Frame finish(MsgType type, WireWriter&& w) {
   Frame f;
   f.type = static_cast<std::uint16_t>(type);
@@ -37,7 +50,6 @@ const char* to_string(WireErrorCode c) {
     case WireErrorCode::kBadRequest: return "bad_request";
     case WireErrorCode::kArchiveMissing: return "archive_missing";
     case WireErrorCode::kUnknownShard: return "unknown_shard";
-    case WireErrorCode::kCancelled: return "cancelled";
     case WireErrorCode::kDeadlineExceeded: return "deadline_exceeded";
     case WireErrorCode::kInternal: return "internal";
   }
@@ -74,9 +86,7 @@ std::size_t decode_frame(std::span<const std::uint8_t> bytes, Frame& out) {
   std::memcpy(&type, bytes.data() + 6, sizeof(type));
   std::memcpy(&len, bytes.data() + 8, sizeof(len));
   if (magic != kWireMagic) throw WireError("wire: bad frame magic");
-  // Backward compatible down to kMinWireVersion: v1 frames simply lack the
-  // optional v2 trailers, which every from_frame treats as defaulted.
-  if (version < kMinWireVersion || version > kWireVersion) {
+  if (version != kWireVersion) {
     throw WireError("wire: unsupported frame version");
   }
   if (len > kMaxFramePayload) {
@@ -151,8 +161,6 @@ Frame ApplyMsg::to_frame() const {
   w.f64(deadline_s);
   w.u64(data.size());
   w.cf32_span(data);
-  // v2 trailer: always written by a v2 encoder; a v1 decoder never sees it
-  // (v1 peers also never emit v2 frames), a v1 frame simply ends above.
   w.u64(trace.trace_id);
   w.u64(trace.parent_span_id);
   w.u8(trace.sampled ? 1 : 0);
@@ -172,11 +180,9 @@ ApplyMsg ApplyMsg::from_frame(const Frame& f) {
   check_count(n, "apply payload");
   m.data.resize(static_cast<std::size_t>(n));
   r.cf32_into(m.data);
-  if (r.remaining() != 0) {  // v2 trailer; absent in v1 frames
-    m.trace.trace_id = r.u64();
-    m.trace.parent_span_id = r.u64();
-    m.trace.sampled = r.u8() != 0;
-  }
+  m.trace.trace_id = r.u64();
+  m.trace.parent_span_id = r.u64();
+  m.trace.sampled = r.u8() != 0;
   r.expect_end();
   return m;
 }
@@ -186,7 +192,7 @@ Frame ApplyOkMsg::to_frame() const {
   w.u64(request_id);
   w.u64(data.size());
   w.cf32_span(data);
-  w.u64(worker_recv_ns);  // v2 trailer: clock sample for trace alignment
+  w.u64(worker_recv_ns);
   w.u64(worker_send_ns);
   return finish(MsgType::kApplyOk, std::move(w));
 }
@@ -200,44 +206,8 @@ ApplyOkMsg ApplyOkMsg::from_frame(const Frame& f) {
   check_count(n, "apply result");
   m.data.resize(static_cast<std::size_t>(n));
   r.cf32_into(m.data);
-  if (r.remaining() != 0) {  // v2 trailer; absent in v1 frames
-    m.worker_recv_ns = r.u64();
-    m.worker_send_ns = r.u64();
-  }
-  r.expect_end();
-  return m;
-}
-
-// --- Cancel ---------------------------------------------------------------
-
-Frame CancelMsg::to_frame() const {
-  WireWriter w;
-  w.u64(request_id);
-  return finish(MsgType::kCancel, std::move(w));
-}
-
-CancelMsg CancelMsg::from_frame(const Frame& f) {
-  check_type(f, MsgType::kCancel);
-  WireReader r(f.payload);
-  CancelMsg m;
-  m.request_id = r.u64();
-  r.expect_end();
-  return m;
-}
-
-Frame CancelOkMsg::to_frame() const {
-  WireWriter w;
-  w.u64(request_id);
-  w.u8(in_flight ? 1 : 0);
-  return finish(MsgType::kCancelOk, std::move(w));
-}
-
-CancelOkMsg CancelOkMsg::from_frame(const Frame& f) {
-  check_type(f, MsgType::kCancelOk);
-  WireReader r(f.payload);
-  CancelOkMsg m;
-  m.request_id = r.u64();
-  m.in_flight = r.u8() != 0;
+  m.worker_recv_ns = r.u64();
+  m.worker_send_ns = r.u64();
   r.expect_end();
   return m;
 }
@@ -348,13 +318,13 @@ ErrorMsg ErrorMsg::from_frame(const Frame& f) {
   WireReader r(f.payload);
   ErrorMsg m;
   m.request_id = r.u64();
-  m.code = static_cast<WireErrorCode>(r.u16());
+  m.code = checked_error_code(r.u16());
   m.message = r.str();
   r.expect_end();
   return m;
 }
 
-// --- TraceDump / Health (v2) ----------------------------------------------
+// --- TraceDump / Health ----------------------------------------------------
 
 Frame TraceDumpMsg::to_frame() const {
   WireWriter w;
@@ -427,8 +397,6 @@ Frame HealthOkMsg::to_frame() const {
   w.u64(inflight);
   w.u64(applies);
   w.f64(resident_bytes);
-  w.f64(streamed_bytes);
-  w.f64(stall_s);
   w.u64(dropped_spans);
   w.u32(static_cast<std::uint32_t>(shards.size()));
   for (const ShardInfo& s : shards) {
@@ -449,8 +417,6 @@ HealthOkMsg HealthOkMsg::from_frame(const Frame& f) {
   m.inflight = r.u64();
   m.applies = r.u64();
   m.resident_bytes = r.f64();
-  m.streamed_bytes = r.f64();
-  m.stall_s = r.f64();
   m.dropped_spans = r.u64();
   const std::uint32_t n = r.u32();
   check_count(n, "health shards");

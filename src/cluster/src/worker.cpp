@@ -31,8 +31,6 @@ Frame ShardWorker::handle(const Frame& request) {
         return handle_load(LoadShardMsg::from_frame(request));
       case MsgType::kApply:
         return handle_apply(ApplyMsg::from_frame(request), recv_ns);
-      case MsgType::kCancel:
-        return handle_cancel(CancelMsg::from_frame(request));
       case MsgType::kMetrics:
         return handle_metrics();
       case MsgType::kTraceDump:
@@ -123,7 +121,7 @@ Frame ShardWorker::handle_apply(const ApplyMsg& msg, std::uint64_t recv_ns) {
   } inflight_guard(inflight_);
 
   // Snapshot the shard under the lock, run the kernels outside it: loads
-  // of other shards and cancels must not wait on an in-flight apply.
+  // of other shards and health polls must not wait on an in-flight apply.
   std::shared_ptr<const Shard> shard;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -164,8 +162,8 @@ Frame ShardWorker::handle_apply(const ApplyMsg& msg, std::uint64_t recv_ns) {
 
   mdc::FrequencyWorkspace& ws = ws_pool_.local();
   for (std::size_t q = 0; q < nq; ++q) {
-    // Between per-frequency MVMs is where a deadline or cancel can take
-    // effect without tearing a kernel apply in half.
+    // Between per-frequency MVMs is where a deadline can take effect
+    // without tearing a kernel apply in half.
     if (msg.deadline_s > 0.0) {
       const std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - start;
@@ -173,15 +171,6 @@ Frame ShardWorker::handle_apply(const ApplyMsg& msg, std::uint64_t recv_ns) {
         registry_.counter("worker.deadline_exceeded").add();
         return error_frame(msg.request_id, WireErrorCode::kDeadlineExceeded,
                            "worker: deadline exceeded mid-shard");
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (cancelled_.count(msg.request_id) != 0) {
-        cancelled_.erase(msg.request_id);
-        registry_.counter("worker.cancelled").add();
-        return error_frame(msg.request_id, WireErrorCode::kCancelled,
-                           "worker: request cancelled");
       }
     }
     const mdc::FrequencyMvm& kernel = *shard->kernels[q];
@@ -213,12 +202,6 @@ Frame ShardWorker::handle_apply(const ApplyMsg& msg, std::uint64_t recv_ns) {
       span.dur_ns = obs::steady_now_ns() - mvm_start_ns;
       span_buf_.record(std::move(span));
     }
-  }
-  {
-    // A cancel that raced past the last check is moot now; drop it so the
-    // set stays bounded by genuinely in-flight ids.
-    std::lock_guard<std::mutex> lock(mu_);
-    cancelled_.erase(msg.request_id);
   }
   registry_.counter("worker.applies").add();
   if (traced) {
@@ -259,9 +242,6 @@ HealthOkMsg ShardWorker::health() const {
       it != snap.counters.end()) {
     ok.applies = it->second;
   }
-  for (const auto& h : snap.histograms) {
-    if (h.name == "oocache.stall_s") ok.stall_s = h.snap.sum;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [shard_id, shard] : shards_) {
@@ -276,17 +256,6 @@ HealthOkMsg ShardWorker::health() const {
     }
   }
   return ok;
-}
-
-Frame ShardWorker::handle_cancel(const CancelMsg& msg) {
-  CancelOkMsg ok;
-  ok.request_id = msg.request_id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ok.in_flight = cancelled_.insert(msg.request_id).second;
-  }
-  registry_.counter("worker.cancel_requests").add();
-  return ok.to_frame();
 }
 
 Frame ShardWorker::handle_metrics() {

@@ -1,17 +1,18 @@
 // Cooperative cancellation for long-running operator applies.
 //
 // A CancelScope installs a thread-local hook for the duration of one call
-// chain; MdcOperator polls it between per-frequency MVMs so a deadline or a
-// remote cancel interrupts an apply mid-batch instead of only between LSQR
-// iterations. The hook must be safe to call from any thread: the frequency
-// loop captures it once before entering its OpenMP region and every team
-// member polls the same callable.
+// chain; MdcOperator polls it between per-frequency MVMs (and
+// RemoteMdcOperator before each fan-out) so a deadline or a cancel
+// interrupts an apply mid-batch instead of only between LSQR iterations.
+// The hook must be safe to call from any thread: the frequency loop
+// captures it once before entering its OpenMP region and every team member
+// polls the same callable.
 //
 // When the hook fires, the apply finishes draining its parallel region
 // (skipping remaining MVMs) and then throws CancelledError, leaving the
-// output buffer unspecified. Callers translate CancelledError into their
-// own typed status (the solve service maps it to kDeadlineExceeded, the
-// cluster worker to a kCancelled reply).
+// output buffer unspecified. The request engine translates
+// CancelledError into kCancelled or kDeadlineExceeded, whichever of its
+// two stop conditions fired.
 #pragma once
 
 #include <functional>

@@ -5,7 +5,8 @@
 // Frontend owns everything about a request that does not depend on where
 // K lives:
 //   submit()  -- request id, archive-header peek (skipped when the source
-//                already holds the operator; typed kArchiveMissing),
+//                already holds the operator; an absent file is typed
+//                kArchiveMissing, an unreadable one kError),
 //                per-tenant in-flight quota (kQuotaExceeded), bounded
 //                admission queue (kQueueFull);
 //   workers   -- pop a per-operator batch (round-robin across operators),
@@ -35,6 +36,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -46,7 +48,6 @@
 #include "tlrwse/obs/trace_merge.hpp"
 #include "tlrwse/serve/admission_queue.hpp"
 #include "tlrwse/serve/operator_cache.hpp"
-#include "tlrwse/serve/task_executor.hpp"
 
 namespace tlrwse::serve {
 
@@ -169,8 +170,6 @@ class OperatorSource {
   /// A solve on `key` failed with a SourceError: drop whatever the source
   /// holds for it, so the next batch resolves afresh.
   virtual void invalidate(const OperatorKey& key) { (void)key; }
-  /// Forwarded by Frontend::cancel after the request is flagged.
-  virtual void cancel(std::uint64_t request_id) { (void)request_id; }
   /// Appends the non-frontend half of a sampled request's timeline.
   virtual void collect_trace(obs::RequestTrace& rt,
                              std::vector<obs::WorkerTrace>& out) {
@@ -204,9 +203,9 @@ class Frontend {
   /// immediately with the typed status.
   [[nodiscard]] SubmittedRequest submit(SolveRequest req);
 
-  /// Flags the request and forwards to the source: queued requests reject
-  /// at dequeue, in-flight solves abort between frequency MVMs / remote
-  /// exchanges / LSQR iterations. Unknown or finished ids are ignored.
+  /// Flags the request: queued requests reject at dequeue, in-flight
+  /// solves abort between frequency MVMs / remote fan-outs / LSQR
+  /// iterations. Unknown or finished ids are ignored.
   void cancel(std::uint64_t request_id);
 
   /// Stops admission, drains every admitted request, joins the workers.
@@ -280,8 +279,9 @@ class Frontend {
   std::unordered_map<std::uint64_t, std::shared_ptr<std::atomic<bool>>>
       live_;
 
-  TaskExecutor exec_;  // declared last: workers must see live members above
-  std::vector<std::future<void>> worker_futures_;
+  /// The `workers` solve threads, joined by shutdown(). Declared last:
+  /// they must see every member above live.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace tlrwse::serve

@@ -1,4 +1,4 @@
-// Byte-budget LRU cache of resident MDC operators, sharded for concurrency.
+// Byte-budget LRU cache of resident MDC operators.
 //
 // The paper's deployment shape (Sec. 7) compresses a survey once and then
 // streams every virtual-source MVM through the same resident TLR bases —
@@ -7,12 +7,12 @@
 // name the same (archive, nb, acc) share ONE resident copy, loaded from the
 // archive exactly once (in-flight loads are deduplicated via a shared
 // future that late arrivals wait on), and cold configurations evict in LRU
-// order once the byte budget is exceeded. Shards keep the lock a per-key
-// hash affair rather than a global serialisation point; evicted operators
-// stay alive for requests that already hold their shared_ptr.
+// order once the byte budget is exceeded. One LRU under one mutex holds the
+// whole budget: the engine takes the lock once per batch, and loads run
+// outside it. Evicted operators stay alive for requests that already hold
+// their shared_ptr.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -108,9 +108,9 @@ class OperatorCache {
   using Value = std::shared_ptr<const ResidentOperator>;
   using Loader = std::function<Value()>;
 
-  /// `budget_bytes` is split evenly across `shards`; each shard evicts its
-  /// own LRU tail independently (use one shard for a strictly global LRU).
-  explicit OperatorCache(double budget_bytes, std::size_t shards = 8);
+  /// Entries are evicted from the LRU tail once their total exceeds
+  /// `budget_bytes`.
+  explicit OperatorCache(double budget_bytes);
 
   OperatorCache(const OperatorCache&) = delete;
   OperatorCache& operator=(const OperatorCache&) = delete;
@@ -126,9 +126,6 @@ class OperatorCache {
 
   [[nodiscard]] CacheStats stats() const;
   void clear();
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
 
  private:
   struct Entry {
@@ -139,26 +136,21 @@ class OperatorCache {
     double fp32_bytes = 0.0;       // fp32-equivalent footprint
     bool ready = false;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<OperatorKey, std::list<Entry>::iterator, OperatorKeyHash>
-        index;
-    double bytes = 0.0;
-    double fp32_bytes = 0.0;
-    std::uint64_t hits = 0, misses = 0, loads = 0, load_failures = 0,
-                  evictions = 0;
-    double bytes_evicted = 0.0;
-  };
-
-  [[nodiscard]] Shard& shard_for(const OperatorKey& key) const;
   /// Evicts ready LRU-tail entries (never `keep_generation`) until the
-  /// shard fits its budget or nothing evictable remains. Caller holds mu.
-  void evict_to_budget(Shard& shard, std::uint64_t keep_generation);
+  /// cache fits its budget or nothing evictable remains. Caller holds mu_.
+  void evict_to_budget(std::uint64_t keep_generation);
 
-  double shard_budget_ = 0.0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> next_generation_{1};
+  const double budget_;
+  mutable std::mutex mu_;
+  std::list<Entry> lru_;  // front = most recently used
+  std::unordered_map<OperatorKey, std::list<Entry>::iterator, OperatorKeyHash>
+      index_;
+  double bytes_ = 0.0;
+  double fp32_bytes_ = 0.0;
+  std::uint64_t hits_ = 0, misses_ = 0, loads_ = 0, load_failures_ = 0,
+                evictions_ = 0;
+  double bytes_evicted_ = 0.0;
+  std::uint64_t next_generation_ = 1;  // guarded by mu_
 };
 
 }  // namespace tlrwse::serve

@@ -77,8 +77,7 @@ Frontend::Frontend(FrontendConfig cfg, OperatorSource& source,
       stage_recorder_(registry_, source.metric_prefix()),
       slo_(cfg_.slo),
       slo_gauges_(registry_, source.metric_prefix()),
-      queue_(cfg_.queue_capacity),
-      exec_(std::max(1, cfg_.workers)) {
+      queue_(cfg_.queue_capacity) {
   TLRWSE_REQUIRE(cfg_.workers > 0, "frontend needs at least one worker");
   TLRWSE_REQUIRE(cfg_.queue_capacity > 0, "queue capacity must be positive");
   TLRWSE_REQUIRE(cfg_.max_batch > 0, "max batch must be positive");
@@ -92,9 +91,9 @@ Frontend::Frontend(FrontendConfig cfg, OperatorSource& source,
     queue_depth_gauge_.set(static_cast<std::int64_t>(depth));
     queue_peak_gauge_.set(static_cast<std::int64_t>(peak));
   });
-  worker_futures_.reserve(static_cast<std::size_t>(cfg_.workers));
+  workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int w = 0; w < cfg_.workers; ++w) {
-    worker_futures_.push_back(exec_.submit([this] { worker_loop(); }));
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -114,12 +113,15 @@ SubmittedRequest Frontend::submit(SolveRequest req) {
 
   // A header peek (a few hundred bytes) catches a missing/corrupt archive
   // without paying a kernel load or a placement; operators the source
-  // already holds skip even that.
+  // already holds skip even that. Its failure is typed by the same rule
+  // as a failed load.
   if (!source_.holds(ticket.req.op)) {
     try {
       (void)io::peek_archive(ticket.req.op.archive_id);
     } catch (const std::exception& e) {
-      reject(ticket, SolveStatus::kArchiveMissing, e.what());
+      reject(ticket,
+             archive_load_error(ticket.req.op.archive_id, e.what()).status(),
+             e.what());
       return out;
     }
   }
@@ -153,21 +155,15 @@ SubmittedRequest Frontend::submit(SolveRequest req) {
 }
 
 void Frontend::cancel(std::uint64_t request_id) {
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    const auto it = live_.find(request_id);
-    if (it == live_.end()) return;
-    it->second->store(true, std::memory_order_relaxed);
-  }
-  source_.cancel(request_id);
+  std::lock_guard<std::mutex> lock(state_mu_);
+  const auto it = live_.find(request_id);
+  if (it != live_.end()) it->second->store(true, std::memory_order_relaxed);
 }
 
 void Frontend::shutdown() {
   if (shut_down_.exchange(true)) return;
   queue_.close();
-  for (auto& f : worker_futures_) f.get();
-  worker_futures_.clear();
-  exec_.shutdown();
+  for (auto& t : workers_) t.join();
 }
 
 void Frontend::worker_loop() {

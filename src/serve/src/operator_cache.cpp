@@ -4,57 +4,45 @@
 
 namespace tlrwse::serve {
 
-OperatorCache::OperatorCache(double budget_bytes, std::size_t shards) {
+OperatorCache::OperatorCache(double budget_bytes) : budget_(budget_bytes) {
   TLRWSE_REQUIRE(budget_bytes > 0.0, "cache budget must be positive");
-  TLRWSE_REQUIRE(shards > 0, "cache needs at least one shard");
-  shard_budget_ = budget_bytes / static_cast<double>(shards);
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
-OperatorCache::Shard& OperatorCache::shard_for(const OperatorKey& key) const {
-  return *shards_[OperatorKeyHash{}(key) % shards_.size()];
-}
-
-void OperatorCache::evict_to_budget(Shard& shard,
-                                    std::uint64_t keep_generation) {
-  auto it = shard.lru.end();
-  while (shard.bytes > shard_budget_ && it != shard.lru.begin()) {
+void OperatorCache::evict_to_budget(std::uint64_t keep_generation) {
+  auto it = lru_.end();
+  while (bytes_ > budget_ && it != lru_.begin()) {
     --it;
     // Loading entries have unknown size and waiters holding their future;
     // the entry that just finished loading is exempt from its own pass so
     // an over-budget operator is still served from memory until something
     // newer displaces it.
     if (!it->ready || it->generation == keep_generation) continue;
-    shard.bytes -= it->bytes;
-    shard.fp32_bytes -= it->fp32_bytes;
-    shard.bytes_evicted += it->bytes;
-    ++shard.evictions;
-    shard.index.erase(it->key);
-    it = shard.lru.erase(it);
+    bytes_ -= it->bytes;
+    fp32_bytes_ -= it->fp32_bytes;
+    bytes_evicted_ += it->bytes;
+    ++evictions_;
+    index_.erase(it->key);
+    it = lru_.erase(it);
   }
 }
 
 OperatorCache::Value OperatorCache::get_or_load(const OperatorKey& key,
                                                 const Loader& loader) {
-  Shard& shard = shard_for(key);
   std::shared_future<Value> future;
   std::promise<Value> promise;
   std::uint64_t my_generation = 0;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (auto it = shard.index.find(key); it != shard.index.end()) {
-      ++shard.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto it = index_.find(key); it != index_.end()) {
+      ++hits_;
+      lru_.splice(lru_.begin(), lru_, it->second);
       future = it->second->value;
     } else {
-      ++shard.misses;
-      my_generation = next_generation_.fetch_add(1, std::memory_order_relaxed);
+      ++misses_;
+      my_generation = next_generation_++;
       future = promise.get_future().share();
-      shard.lru.push_front(Entry{key, future, my_generation, 0.0, 0.0, false});
-      shard.index[key] = shard.lru.begin();
+      lru_.push_front(Entry{key, future, my_generation, 0.0, 0.0, false});
+      index_[key] = lru_.begin();
     }
   }
 
@@ -67,13 +55,13 @@ OperatorCache::Value OperatorCache::get_or_load(const OperatorKey& key,
     } catch (...) {
       promise.set_exception(std::current_exception());
     }
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::lock_guard<std::mutex> lock(mu_);
     // clear() may have raced the load; only account our own generation.
-    auto it = shard.index.find(key);
+    auto it = index_.find(key);
     const bool mine =
-        it != shard.index.end() && it->second->generation == my_generation;
+        it != index_.end() && it->second->generation == my_generation;
     if (value) {
-      ++shard.loads;
+      ++loads_;
       if (mine) {
         // fp32_bytes == 0 means the loader did not distinguish precisions;
         // charge the packed size so the gap reads as zero, not negative.
@@ -82,15 +70,15 @@ OperatorCache::Value OperatorCache::get_or_load(const OperatorKey& key,
         it->second->bytes = value->bytes;
         it->second->fp32_bytes = fp32;
         it->second->ready = true;
-        shard.bytes += value->bytes;
-        shard.fp32_bytes += fp32;
-        evict_to_budget(shard, my_generation);
+        bytes_ += value->bytes;
+        fp32_bytes_ += fp32;
+        evict_to_budget(my_generation);
       }
     } else {
-      ++shard.load_failures;
+      ++load_failures_;
       if (mine) {
-        shard.lru.erase(it->second);
-        shard.index.erase(it);
+        lru_.erase(it->second);
+        index_.erase(it);
       }
     }
   }
@@ -98,37 +86,32 @@ OperatorCache::Value OperatorCache::get_or_load(const OperatorKey& key,
 }
 
 bool OperatorCache::contains(const OperatorKey& key) const {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.index.count(key) > 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  return index_.count(key) > 0;
 }
 
 CacheStats OperatorCache::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
   CacheStats s;
-  s.budget_bytes = shard_budget_ * static_cast<double>(shards_.size());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    s.hits += shard->hits;
-    s.misses += shard->misses;
-    s.loads += shard->loads;
-    s.load_failures += shard->load_failures;
-    s.evictions += shard->evictions;
-    s.bytes_evicted += shard->bytes_evicted;
-    s.bytes_resident += shard->bytes;
-    s.bytes_resident_fp32 += shard->fp32_bytes;
-    s.entries += shard->index.size();
-  }
+  s.budget_bytes = budget_;
+  s.hits = hits_;
+  s.misses = misses_;
+  s.loads = loads_;
+  s.load_failures = load_failures_;
+  s.evictions = evictions_;
+  s.bytes_evicted = bytes_evicted_;
+  s.bytes_resident = bytes_;
+  s.bytes_resident_fp32 = fp32_bytes_;
+  s.entries = index_.size();
   return s;
 }
 
 void OperatorCache::clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0.0;
-    shard->fp32_bytes = 0.0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  lru_.clear();
+  index_.clear();
+  bytes_ = 0.0;
+  fp32_bytes_ = 0.0;
 }
 
 }  // namespace tlrwse::serve

@@ -2,7 +2,7 @@
 // trips, truncation, garbage rejection), the shard planner's placement
 // properties, the worker client's pipelined exchanges over a real unix
 // socket (reply order, typed failure when the peer dies with requests in
-// flight), and — over the in-process LocalTransport, which round-trips
+// flight), and — over the in-process LocalChannel, which round-trips
 // every frame through the real encode/decode path — the bitwise identity
 // of cluster solves with the single-process operator for dense, TLR, and
 // shared-basis kernels, plus the typed failure semantics (worker death,
@@ -60,11 +60,6 @@ TEST(Wire, FrameRoundTripsEveryMessageType) {
   ApplyOkMsg apply_ok;
   apply_ok.request_id = 42;
   apply_ok.data = {cf32{-0.5f, 0.125f}};
-  CancelMsg cancel;
-  cancel.request_id = 42;
-  CancelOkMsg cancel_ok;
-  cancel_ok.request_id = 42;
-  cancel_ok.in_flight = true;
   ErrorMsg error;
   error.request_id = 42;
   error.code = WireErrorCode::kDeadlineExceeded;
@@ -109,12 +104,6 @@ TEST(Wire, FrameRoundTripsEveryMessageType) {
                         apply_ok.data.size() * sizeof(cf32)),
             0);
 
-  EXPECT_EQ(CancelMsg::from_frame(round_trip(cancel.to_frame())).request_id,
-            cancel.request_id);
-  const auto co2 = CancelOkMsg::from_frame(round_trip(cancel_ok.to_frame()));
-  EXPECT_EQ(co2.request_id, cancel_ok.request_id);
-  EXPECT_TRUE(co2.in_flight);
-
   (void)MetricsMsg::from_frame(round_trip(MetricsMsg{}.to_frame()));
   (void)ShutdownMsg::from_frame(round_trip(ShutdownMsg{}.to_frame()));
   (void)ShutdownOkMsg::from_frame(round_trip(ShutdownOkMsg{}.to_frame()));
@@ -150,8 +139,8 @@ TEST(Wire, MetricsSnapshotRoundTrips) {
 }
 
 TEST(Wire, TruncatedFramesAskForMoreBytes) {
-  CancelMsg msg;
-  msg.request_id = 9;
+  TraceDumpMsg msg;
+  msg.trace_id = 9;
   const std::vector<std::uint8_t> bytes = encode_frame(msg.to_frame());
   Frame out;
   // Partial header, then a complete header with partial payload: both are
@@ -163,8 +152,8 @@ TEST(Wire, TruncatedFramesAskForMoreBytes) {
 }
 
 TEST(Wire, GarbageHeaderIsRejectedTyped) {
-  CancelMsg msg;
-  msg.request_id = 9;
+  TraceDumpMsg msg;
+  msg.trace_id = 9;
   std::vector<std::uint8_t> bytes = encode_frame(msg.to_frame());
   Frame out;
 
@@ -185,15 +174,15 @@ TEST(Wire, GarbageHeaderIsRejectedTyped) {
 }
 
 TEST(Wire, TrailingAndMissingBytesAreRejected) {
-  CancelMsg msg;
-  msg.request_id = 9;
+  TraceDumpMsg msg;
+  msg.trace_id = 9;
   Frame frame = msg.to_frame();
   frame.payload.push_back(0);  // trailing junk -> expect_end throws
-  EXPECT_THROW((void)CancelMsg::from_frame(frame), WireError);
+  EXPECT_THROW((void)TraceDumpMsg::from_frame(frame), WireError);
 
   Frame short_frame = msg.to_frame();
   short_frame.payload.pop_back();  // truncated field -> checked take throws
-  EXPECT_THROW((void)CancelMsg::from_frame(short_frame), WireError);
+  EXPECT_THROW((void)TraceDumpMsg::from_frame(short_frame), WireError);
 
   // A string length pointing past the end of the payload must not read.
   LoadShardMsg load;
@@ -207,8 +196,8 @@ TEST(Wire, TrailingAndMissingBytesAreRejected) {
 }
 
 TEST(Wire, FromFrameChecksTheType) {
-  CancelMsg msg;
-  msg.request_id = 1;
+  TraceDumpMsg msg;
+  msg.trace_id = 1;
   EXPECT_THROW((void)ApplyMsg::from_frame(msg.to_frame()), WireError);
 }
 
@@ -263,25 +252,24 @@ TEST(ShardPlanner, SmallOperatorsReplicate) {
 
 TEST(LocalChannel, RoundTripsThroughTheRealBytePath) {
   // The handler sees exactly the frame the encode/decode path produces, so
-  // LocalTransport tests certify the same bytes a socket would carry.
+  // LocalChannel tests certify the same bytes a socket would carry.
   LocalChannel chan([](const Frame& f) {
-    const CancelMsg msg = CancelMsg::from_frame(f);
-    CancelOkMsg ok;
-    ok.request_id = msg.request_id + 1;
-    ok.in_flight = false;
+    const TraceDumpMsg msg = TraceDumpMsg::from_frame(f);
+    TraceDumpOkMsg ok;
+    ok.trace_id = msg.trace_id + 1;
     return ok.to_frame();
   });
-  CancelMsg msg;
-  msg.request_id = 41;
-  const auto reply = CancelOkMsg::from_frame(chan.call(msg.to_frame()));
-  EXPECT_EQ(reply.request_id, 42u);
+  TraceDumpMsg msg;
+  msg.trace_id = 41;
+  const auto reply = TraceDumpOkMsg::from_frame(chan.call(msg.to_frame()));
+  EXPECT_EQ(reply.trace_id, 42u);
 }
 
 TEST(LocalChannel, KillFailsCallsTyped) {
   LocalChannel chan([](const Frame& f) { return f; });
   chan.kill();
-  CancelMsg msg;
-  msg.request_id = 1;
+  TraceDumpMsg msg;
+  msg.trace_id = 1;
   try {
     (void)chan.call(msg.to_frame());
     FAIL() << "expected TransportError";
@@ -303,9 +291,9 @@ struct SocketPath {
   std::string path;
 };
 
-Frame cancel_frame(std::uint64_t id) {
-  CancelMsg msg;
-  msg.request_id = id;
+Frame dump_frame(std::uint64_t id) {
+  TraceDumpMsg msg;
+  msg.trace_id = id;
   return msg.to_frame();
 }
 
@@ -314,17 +302,17 @@ TEST(SocketChannel, PipelinedCallsReturnInRequestOrder) {
   // first is served; replies must still match their requests one to one.
   const SocketPath sock("pipeline");
   auto server = SocketServer::listen_unix(sock.path, [](const Frame& f) {
-    CancelOkMsg ok;
-    ok.request_id = CancelMsg::from_frame(f).request_id;
+    TraceDumpOkMsg ok;
+    ok.trace_id = TraceDumpMsg::from_frame(f).trace_id;
     return ok.to_frame();
   });
   WorkerClient client(SocketChannel::connect_unix(sock.path), "w0");
   std::vector<std::future<Frame>> replies;
   for (std::uint64_t id = 1; id <= 32; ++id) {
-    replies.push_back(client.call_async(cancel_frame(id)));
+    replies.push_back(client.call_async(dump_frame(id)));
   }
   for (std::uint64_t id = 1; id <= 32; ++id) {
-    EXPECT_EQ(CancelOkMsg::from_frame(replies[id - 1].get()).request_id, id);
+    EXPECT_EQ(TraceDumpOkMsg::from_frame(replies[id - 1].get()).trace_id, id);
   }
   EXPECT_TRUE(client.alive());
   client.close();
@@ -361,8 +349,8 @@ TEST(SocketChannel, PeerDeathFailsEveryQueuedAndInFlightCallTyped) {
       }
       buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(used));
       if (++frames == 1) {
-        CancelOkMsg ok;
-        ok.request_id = CancelMsg::from_frame(f).request_id;
+        TraceDumpOkMsg ok;
+        ok.trace_id = TraceDumpMsg::from_frame(f).trace_id;
         const std::vector<std::uint8_t> bytes = encode_frame(ok.to_frame());
         (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
       }
@@ -372,14 +360,14 @@ TEST(SocketChannel, PeerDeathFailsEveryQueuedAndInFlightCallTyped) {
   WorkerClient client(SocketChannel::connect_unix(sock.path), "w0");
   std::vector<std::future<Frame>> replies;
   for (std::uint64_t id = 1; id <= 4; ++id) {
-    replies.push_back(client.call_async(cancel_frame(id)));
+    replies.push_back(client.call_async(dump_frame(id)));
   }
-  EXPECT_EQ(CancelOkMsg::from_frame(replies[0].get()).request_id, 1u);
+  EXPECT_EQ(TraceDumpOkMsg::from_frame(replies[0].get()).trace_id, 1u);
   for (std::size_t i = 1; i < replies.size(); ++i) {
     EXPECT_THROW((void)replies[i].get(), TransportError) << "call " << i + 1;
   }
   EXPECT_FALSE(client.alive());
-  EXPECT_THROW((void)client.call(cancel_frame(5)), TransportError);
+  EXPECT_THROW((void)client.call(dump_frame(5)), TransportError);
   peer.join();
   ::close(lfd);
 }
@@ -948,8 +936,6 @@ TEST(Wire, TraceAndHealthMessagesRoundTrip) {
   health.inflight = 2;
   health.applies = 40;
   health.resident_bytes = 1.5e6;
-  health.streamed_bytes = 2.5e6;
-  health.stall_s = 0.25;
   health.dropped_spans = 1;
   health.shards.push_back({3, 0, 16, 16, 1.5e6});
   const auto h2 = HealthOkMsg::from_frame(health.to_frame());
@@ -957,8 +943,6 @@ TEST(Wire, TraceAndHealthMessagesRoundTrip) {
   EXPECT_EQ(h2.inflight, 2u);
   EXPECT_EQ(h2.applies, 40u);
   EXPECT_DOUBLE_EQ(h2.resident_bytes, 1.5e6);
-  EXPECT_DOUBLE_EQ(h2.streamed_bytes, 2.5e6);
-  EXPECT_DOUBLE_EQ(h2.stall_s, 0.25);
   EXPECT_EQ(h2.dropped_spans, 1u);
   ASSERT_EQ(h2.shards.size(), 1u);
   EXPECT_EQ(h2.shards[0].shard_id, 3u);
@@ -967,10 +951,10 @@ TEST(Wire, TraceAndHealthMessagesRoundTrip) {
   EXPECT_EQ(h2.shards[0].num_freqs, 16u);
 }
 
-TEST(Wire, V1ApplyFramesDecodeWithDefaultedTrailers) {
-  // A v1 peer's kApply frame is a v2 frame minus the 17-byte trace
-  // trailer, with version 1 in the header. It must decode to an inactive
-  // TraceContext — not an error, not garbage.
+TEST(Wire, OldVersionsTrailerlessAppliesAndUnknownCodesAreRejected) {
+  // A version-1 peer's kApply is the current frame minus the 17-byte trace
+  // context, with version 1 in the header. Neither the header nor the
+  // shortened payload decodes: a mixed-build fleet fails typed.
   ApplyMsg apply;
   apply.request_id = 11;
   apply.shard_id = 2;
@@ -978,32 +962,26 @@ TEST(Wire, V1ApplyFramesDecodeWithDefaultedTrailers) {
   apply.data = {cf32{1.0f, 2.0f}};
   apply.trace = {77, 5, true};
   Frame v1 = apply.to_frame();
-  v1.payload.resize(v1.payload.size() - 17);  // u64 + u64 + u8 trailer
-  const auto a1 = ApplyMsg::from_frame(v1);
-  EXPECT_EQ(a1.request_id, 11u);
-  EXPECT_EQ(a1.trace.trace_id, 0u);
-  EXPECT_FALSE(a1.trace.active());
-  ASSERT_EQ(a1.data.size(), 1u);
+  v1.payload.resize(v1.payload.size() - 17);  // u64 + u64 + u8 trace
+  EXPECT_THROW((void)ApplyMsg::from_frame(v1), WireError);
 
-  // The same frame as raw bytes stamped with version 1 still passes the
-  // transport-level version check (kMinWireVersion = 1).
-  std::vector<std::uint8_t> bytes = encode_frame(v1);
-  bytes[4] = 1;
-  bytes[5] = 0;
+  std::vector<std::uint8_t> bytes = encode_frame(apply.to_frame());
   Frame out;
   EXPECT_EQ(decode_frame(bytes, out), bytes.size());
-  // ...while a version from the future is rejected typed.
-  bytes[4] = kWireVersion + 1;
-  EXPECT_THROW((void)decode_frame(bytes, out), WireError);
+  for (const std::uint16_t version :
+       {std::uint16_t{1}, std::uint16_t{kWireVersion - 1},
+        std::uint16_t{kWireVersion + 1}}) {
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    EXPECT_THROW((void)decode_frame(bytes, out), WireError) << version;
+  }
 
-  // The v2 frame (trailer intact) round-trips the context.
+  // The full frame round-trips the context.
   const auto a2 = ApplyMsg::from_frame(apply.to_frame());
   EXPECT_EQ(a2.trace.trace_id, 77u);
   EXPECT_EQ(a2.trace.parent_span_id, 5u);
   EXPECT_TRUE(a2.trace.active());
 
-  // ApplyOk: stripping the 16-byte clock trailer gives zeroed stamps (the
-  // frontend's v1 signal: no clock sample, round trip attributed to RPC).
+  // ApplyOk without its 16 bytes of worker clock stamps is malformed too.
   ApplyOkMsg ok;
   ok.request_id = 11;
   ok.data = {cf32{0.5f, -0.5f}};
@@ -1011,12 +989,25 @@ TEST(Wire, V1ApplyFramesDecodeWithDefaultedTrailers) {
   ok.worker_send_ns = 2000;
   Frame ok_v1 = ok.to_frame();
   ok_v1.payload.resize(ok_v1.payload.size() - 16);
-  const auto o1 = ApplyOkMsg::from_frame(ok_v1);
-  EXPECT_EQ(o1.worker_recv_ns, 0u);
-  EXPECT_EQ(o1.worker_send_ns, 0u);
+  EXPECT_THROW((void)ApplyOkMsg::from_frame(ok_v1), WireError);
   const auto o2 = ApplyOkMsg::from_frame(ok.to_frame());
   EXPECT_EQ(o2.worker_recv_ns, 1000u);
   EXPECT_EQ(o2.worker_send_ns, 2000u);
+
+  // An error code outside WireErrorCode (0, the retired cancel code 4,
+  // anything past the last) is rejected, not cast into the enum.
+  ErrorMsg err;
+  err.request_id = 3;
+  err.message = "x";
+  const Frame good = err.to_frame();
+  EXPECT_EQ(ErrorMsg::from_frame(good).code, WireErrorCode::kInternal);
+  for (const std::uint16_t code :
+       {std::uint16_t{0}, std::uint16_t{4}, std::uint16_t{7},
+        std::uint16_t{0xFFFF}}) {
+    Frame bad = good;
+    std::memcpy(bad.payload.data() + 8, &code, sizeof(code));
+    EXPECT_THROW((void)ErrorMsg::from_frame(bad), WireError) << code;
+  }
 }
 
 TEST(Wire, TraceAndHealthFramesRejectTruncationAndJunk) {
@@ -1025,9 +1016,20 @@ TEST(Wire, TraceAndHealthFramesRejectTruncationAndJunk) {
   dump_ok.spans.push_back({"s", 1, 2, 0, 10, 5});
   HealthOkMsg health;
   health.shards.push_back({1, 0, 4, 4, 100.0});
+  ApplyMsg apply;
+  apply.request_id = 4;
+  apply.shard_id = 1;
+  apply.data = {cf32{1.0f, -1.0f}, cf32{0.5f, 2.0f}};
+  apply.trace = {9, 3, true};
+  ApplyOkMsg apply_ok;
+  apply_ok.request_id = 4;
+  apply_ok.data = {cf32{0.25f, 0.75f}};
+  apply_ok.worker_recv_ns = 10;
+  apply_ok.worker_send_ns = 20;
 
-  const std::vector<Frame> frames = {TraceDumpMsg{}.to_frame(),
-                                     dump_ok.to_frame(), health.to_frame()};
+  const std::vector<Frame> frames = {
+      TraceDumpMsg{}.to_frame(), dump_ok.to_frame(), health.to_frame(),
+      apply.to_frame(), apply_ok.to_frame()};
   for (const Frame& f : frames) {
     const auto expect_rejected = [](const Frame& bad) {
       switch (static_cast<MsgType>(bad.type)) {
@@ -1036,6 +1038,12 @@ TEST(Wire, TraceAndHealthFramesRejectTruncationAndJunk) {
           break;
         case MsgType::kTraceDumpOk:
           EXPECT_THROW((void)TraceDumpOkMsg::from_frame(bad), WireError);
+          break;
+        case MsgType::kApply:
+          EXPECT_THROW((void)ApplyMsg::from_frame(bad), WireError);
+          break;
+        case MsgType::kApplyOk:
+          EXPECT_THROW((void)ApplyOkMsg::from_frame(bad), WireError);
           break;
         default:
           EXPECT_THROW((void)HealthOkMsg::from_frame(bad), WireError);
@@ -1047,8 +1055,8 @@ TEST(Wire, TraceAndHealthFramesRejectTruncationAndJunk) {
       cut.payload.resize(n);
       expect_rejected(cut);
     }
-    // Trailing junk after a complete payload is rejected too (these
-    // messages have no optional trailer).
+    // Trailing junk after a complete payload is rejected too (no message
+    // has an optional field).
     Frame fat = f;
     fat.payload.push_back(0xAB);
     expect_rejected(fat);

@@ -1,16 +1,12 @@
 // Unit tests for the common utilities: table printer, unit formatting,
-// deterministic RNG, aligned allocation, error macros, bounded queue,
-// latency statistics.
+// deterministic RNG, aligned allocation, error macros, latency statistics.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "tlrwse/common/aligned.hpp"
-#include "tlrwse/common/bounded_queue.hpp"
 #include "tlrwse/common/error.hpp"
 #include "tlrwse/common/rng.hpp"
 #include "tlrwse/common/stats.hpp"
@@ -128,71 +124,6 @@ TEST(Timer, MeasuresNonNegativeTime) {
   for (int i = 0; i < 10000; ++i) sink = sink + i;
   EXPECT_GE(t.seconds(), 0.0);
   EXPECT_GE(t.micros(), t.millis());
-}
-
-TEST(BoundedQueue, FifoOrderAndCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_EQ(q.capacity(), 2u);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: backpressure, not growth
-  int v = 0;
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(q.try_pop(v));
-}
-
-TEST(BoundedQueue, RejectsZeroCapacity) {
-  EXPECT_THROW(BoundedQueue<int>(0), std::invalid_argument);
-}
-
-TEST(BoundedQueue, CloseDrainsThenSignalsShutdown) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_FALSE(q.push(3));
-  int v = 0;
-  EXPECT_TRUE(q.pop(v));  // queued items survive close()
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(q.pop(v));  // closed and drained
-}
-
-TEST(BoundedQueue, ConcurrentProducersConsumersLoseNothing) {
-  constexpr int kProducers = 4, kConsumers = 4, kPerProducer = 500;
-  BoundedQueue<int> q(8);  // small capacity: exercises blocking both ways
-  std::atomic<long long> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      int v = 0;
-      while (q.pop(v)) {
-        sum.fetch_add(v);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        EXPECT_TRUE(q.push(p * kPerProducer + i));
-      }
-    });
-  }
-  for (int t = kConsumers; t < kConsumers + kProducers; ++t) threads[t].join();
-  q.close();
-  for (int t = 0; t < kConsumers; ++t) threads[t].join();
-
-  const int n = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), n);
-  EXPECT_EQ(sum.load(), static_cast<long long>(n) * (n - 1) / 2);
 }
 
 TEST(Stats, NearestRankPercentile) {

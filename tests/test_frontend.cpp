@@ -191,6 +191,28 @@ TEST_P(EngineLifecycle, MissingArchiveRejectedAtAdmission) {
   EXPECT_EQ(engine.counter("admitted"), 0u);
 }
 
+TEST_P(EngineLifecycle, GarbageFileRejectedAtAdmissionAsError) {
+  // An existing file that is not an archive fails the admission peek, but
+  // it is not missing: the peek's failure is typed like a failed load.
+  TempFile garbage("tlrwse_frontend_garbage.tlra");
+  {
+    std::ofstream out(garbage.path, std::ios::binary);
+    out << "garbage";
+  }
+  Engine engine(GetParam(), FrontendConfig{});
+  SolveRequest req = make_request(RequestKind::kAdjoint, 1);
+  req.op.archive_id = garbage.path;
+  auto handle = engine.submit(std::move(req));
+  ASSERT_EQ(handle.response.wait_for(5s), std::future_status::ready)
+      << "rejection must resolve at admission";
+  const auto r = handle.response.get();
+  EXPECT_EQ(r.status, SolveStatus::kError) << r.error;
+  EXPECT_FALSE(r.error.empty());
+  EXPECT_EQ(engine.counter("failed"), 1u);
+  EXPECT_EQ(engine.counter("admitted"), 0u);
+  EXPECT_EQ(engine.counter("rejected_archive_missing"), 0u);
+}
+
 TEST_P(EngineLifecycle, TruncatedArchiveIsAnErrorOnBothSources) {
   // Half an archive passes the admission peek (its header is intact) but
   // cannot load: the file exists, so the failure is kError, not missing.

@@ -1,5 +1,5 @@
 // Tests for the serving layer: operator cache (byte-budget LRU, load
-// dedup, concurrency), task executor, and the solve service end to end —
+// dedup, concurrency) and the solve service end to end —
 // including the bitwise-vs-sequential guarantee and typed backpressure.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,7 +18,6 @@
 #include "tlrwse/obs/prometheus.hpp"
 #include "tlrwse/serve/operator_cache.hpp"
 #include "tlrwse/serve/solve_service.hpp"
-#include "tlrwse/serve/task_executor.hpp"
 
 namespace tlrwse::serve {
 namespace {
@@ -34,7 +33,7 @@ OperatorCache::Value resident_of(double bytes) {
 }
 
 TEST(OperatorCache, HitMissAccounting) {
-  OperatorCache cache(1e9, 1);
+  OperatorCache cache(1e9);
   int loads = 0;
   const auto loader = [&] {
     ++loads;
@@ -55,7 +54,7 @@ TEST(OperatorCache, HitMissAccounting) {
 }
 
 TEST(OperatorCache, DistinctCompressionConfigsAreDistinctEntries) {
-  OperatorCache cache(1e9, 1);
+  OperatorCache cache(1e9);
   const OperatorKey coarse{"a", 12, 1e-2};
   const OperatorKey fine{"a", 12, 1e-6};
   (void)cache.get_or_load(coarse, [&] { return resident_of(10.0); });
@@ -65,9 +64,9 @@ TEST(OperatorCache, DistinctCompressionConfigsAreDistinctEntries) {
 }
 
 TEST(OperatorCache, EvictsInLruOrder) {
-  // One shard = strictly global LRU. Budget fits two 100-byte entries;
-  // touching A promotes it, so inserting C evicts B (the LRU tail).
-  OperatorCache cache(250.0, 1);
+  // Budget fits two 100-byte entries; touching A promotes it, so
+  // inserting C evicts B (the LRU tail).
+  OperatorCache cache(250.0);
   (void)cache.get_or_load(key_of("a"), [&] { return resident_of(100.0); });
   (void)cache.get_or_load(key_of("b"), [&] { return resident_of(100.0); });
   (void)cache.get_or_load(key_of("a"), [&] { return resident_of(100.0); });
@@ -88,7 +87,7 @@ TEST(OperatorCache, OversizedEntryStaysUntilDisplaced) {
   // An entry larger than the whole budget is never evicted by its own
   // insertion (requests holding its future must still get a value); the
   // next insertion displaces it.
-  OperatorCache cache(50.0, 1);
+  OperatorCache cache(50.0);
   (void)cache.get_or_load(key_of("big"), [&] { return resident_of(100.0); });
   EXPECT_TRUE(cache.contains(key_of("big")));
   EXPECT_DOUBLE_EQ(cache.stats().bytes_resident, 100.0);
@@ -99,7 +98,7 @@ TEST(OperatorCache, OversizedEntryStaysUntilDisplaced) {
 }
 
 TEST(OperatorCache, LoaderFailurePropagatesAndRetries) {
-  OperatorCache cache(1e9, 1);
+  OperatorCache cache(1e9);
   EXPECT_THROW((void)cache.get_or_load(
                    key_of("a"),
                    []() -> OperatorCache::Value {
@@ -115,8 +114,27 @@ TEST(OperatorCache, LoaderFailurePropagatesAndRetries) {
   EXPECT_EQ(cache.stats().loads, 1u);
 }
 
+TEST(OperatorCache, BudgetIsOneGlobalLru) {
+  // Ten 100-byte operators exactly fill a 1000-byte budget: every one
+  // stays resident, whatever its key hashes to.
+  OperatorCache cache(1000.0);
+  for (int k = 0; k < 10; ++k) {
+    const std::string id = "op" + std::to_string(k);
+    (void)cache.get_or_load(key_of(id.c_str()),
+                            [&] { return resident_of(100.0); });
+  }
+  const auto s = cache.stats();
+  EXPECT_EQ(s.entries, 10u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_DOUBLE_EQ(s.bytes_resident, 1000.0);
+  for (int k = 0; k < 10; ++k) {
+    const std::string id = "op" + std::to_string(k);
+    EXPECT_TRUE(cache.contains(key_of(id.c_str()))) << id;
+  }
+}
+
 TEST(OperatorCache, ClearEmptiesEverything) {
-  OperatorCache cache(1e9, 4);
+  OperatorCache cache(1e9);
   (void)cache.get_or_load(key_of("a"), [&] { return resident_of(1.0); });
   (void)cache.get_or_load(key_of("b"), [&] { return resident_of(2.0); });
   cache.clear();
@@ -128,7 +146,7 @@ TEST(OperatorCache, ClearEmptiesEverything) {
 TEST(OperatorCache, ConcurrentLoadsDeduplicate) {
   // Many threads racing one cold key ride a single loader invocation; the
   // loader sleeps so every thread arrives while the load is in flight.
-  OperatorCache cache(1e9, 8);
+  OperatorCache cache(1e9);
   std::atomic<int> loads{0};
   const auto loader = [&] {
     loads.fetch_add(1);
@@ -150,11 +168,11 @@ TEST(OperatorCache, ConcurrentLoadsDeduplicate) {
 }
 
 TEST(OperatorCache, ConcurrentHammerStaysCoherent) {
-  // 8 threads hammer 6 keys through a budget that can hold only ~2 entries
-  // per shard's worth: loads, evictions, and hits interleave freely. The
+  // 8 threads hammer 6 keys through a budget that can hold only 2 entries:
+  // loads, evictions, and hits interleave freely. The
   // invariants: values are always usable, per-key bytes are what the loader
   // produced, and the final accounting is self-consistent.
-  OperatorCache cache(250.0, 2);
+  OperatorCache cache(250.0);
   std::atomic<int> loads{0};
   std::vector<OperatorKey> keys;
   for (int k = 0; k < 6; ++k) {
@@ -182,33 +200,6 @@ TEST(OperatorCache, ConcurrentHammerStaysCoherent) {
   EXPECT_EQ(s.misses, s.loads);
   EXPECT_EQ(s.loads, s.evictions + s.entries);
   EXPECT_DOUBLE_EQ(s.bytes_resident, 100.0 * static_cast<double>(s.entries));
-}
-
-// ------------------------------------------------------------- executor --
-
-TEST(TaskExecutor, RunsTasksAndReturnsResults) {
-  TaskExecutor exec(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(exec.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-  EXPECT_EQ(exec.thread_count(), 4);
-}
-
-TEST(TaskExecutor, PropagatesExceptionsThroughFutures) {
-  TaskExecutor exec(2);
-  auto f = exec.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW((void)f.get(), std::runtime_error);
-}
-
-TEST(TaskExecutor, SubmitAfterShutdownThrows) {
-  TaskExecutor exec(1);
-  exec.shutdown();
-  EXPECT_THROW((void)exec.submit([] { return 1; }), std::invalid_argument);
-  exec.shutdown();  // idempotent
 }
 
 // -------------------------------------------------------------- service --

@@ -2,7 +2,7 @@
 # Build the concurrency-sensitive tests under ThreadSanitizer and run them
 # with a multi-thread OpenMP team, so data races in the parallel MDC
 # frequency loop, the workspace pools, and the serving layer (operator
-# cache, bounded queue, solve service) are caught even on small machines.
+# cache, admission queue, solve service) are caught even on small machines.
 #
 # GCC's libgomp synchronises its thread pool with futexes TSan cannot see.
 # The user-data fork/join edges are restored with explicit happens-before

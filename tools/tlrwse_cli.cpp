@@ -54,7 +54,7 @@
 //                       traces the first request end-to-end and writes one
 //                       clock-aligned chrome://tracing timeline spanning
 //                       the frontend and every worker process;
-//                       --health-out dumps per-worker shard/bytes/stall
+//                       --health-out dumps per-worker shard/bytes/uptime
 //                       health + the SLO window as JSON; --watch MS
 //                       repaints a live fleet view)
 //
@@ -197,11 +197,11 @@ std::string format_fleet_view(
     }
     std::snprintf(line, sizeof(line),
                   "  %-10s up %6.1fs  inflight %2llu  applies %6llu  "
-                  "resident %8.1f KiB  stall %5.2fs  drops %llu",
+                  "resident %8.1f KiB  drops %llu",
                   wh.name.c_str(), 1e-9 * static_cast<double>(wh.health.uptime_ns),
                   static_cast<unsigned long long>(wh.health.inflight),
                   static_cast<unsigned long long>(wh.health.applies),
-                  wh.health.resident_bytes / 1024.0, wh.health.stall_s,
+                  wh.health.resident_bytes / 1024.0,
                   static_cast<unsigned long long>(wh.health.dropped_spans));
     out += line;
     for (const auto& sh : wh.health.shards) {
