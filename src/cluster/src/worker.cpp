@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "tlrwse/io/archive.hpp"
+#include "tlrwse/serve/frontend.hpp"
 
 namespace tlrwse::cluster {
 
@@ -86,10 +87,17 @@ Frame ShardWorker::handle_load(const LoadShardMsg& msg) {
     shard->q_begin = msg.q_begin;
     shard->q_end = msg.q_end;
   } catch (const std::exception& e) {
-    return error_frame(0, WireErrorCode::kArchiveMissing, e.what());
+    // Typed as the serving layer types it: archive_missing only when the
+    // file is absent.
+    const bool missing =
+        serve::archive_load_error(msg.archive_path, e.what()).status() ==
+        serve::SolveStatus::kArchiveMissing;
+    return error_frame(
+        0, missing ? WireErrorCode::kArchiveMissing : WireErrorCode::kInternal,
+        e.what());
   }
   if (shard->kernels.empty()) {
-    return error_frame(0, WireErrorCode::kArchiveMissing,
+    return error_frame(0, WireErrorCode::kInternal,
                        "worker: shard has no kernels");
   }
   shard->ns = shard->kernels.front()->rows();

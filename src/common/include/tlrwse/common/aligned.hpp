@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 namespace tlrwse {
 
@@ -48,6 +50,30 @@ struct AlignedAllocator {
   template <typename U>
   bool operator==(const AlignedAllocator<U, Alignment>&) const noexcept {
     return true;
+  }
+};
+
+/// AlignedAllocator whose value-initialising construct() default-initialises
+/// instead, so resize() leaves new trivial elements unwritten: for buffers
+/// the owner overwrites in full, which then cost one write pass, not two.
+template <typename T, std::size_t Alignment = kDefaultAlignment>
+struct UninitAlignedAllocator : AlignedAllocator<T, Alignment> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAlignedAllocator<U, Alignment>;
+  };
+
+  UninitAlignedAllocator() noexcept = default;
+  template <typename U>
+  UninitAlignedAllocator(const UninitAlignedAllocator<U, Alignment>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 };
 

@@ -16,6 +16,7 @@
 #include "tlrwse/mdd/mdd_solver.hpp"
 #include "tlrwse/seismic/modeling.hpp"
 #include "tlrwse/tlr/mixed.hpp"
+#include "tlrwse/tlr/mvm_plan.hpp"
 #include "tlrwse/tlr/shared_basis.hpp"
 #include "tlrwse/tlr/tlr_matrix.hpp"
 
@@ -182,17 +183,36 @@ struct LoadedKernels {
   double fp32_bytes = 0.0;
 };
 
+/// Buffers that repeated load_kernels calls reuse. A "TLRA" granule is read
+/// with one call into `staging`; its plan is built into a `spare` storage
+/// when there is one (the caller hands back the storage of kernels it
+/// drops, see mdc::TlrMvm::release_storage), so a steady stream of loads
+/// writes only into pages that are already mapped. One state must not be
+/// shared by concurrent loads.
+struct LoadState {
+  std::vector<char> staging;
+  std::vector<tlr::MvmPlan::Storage> spare;
+};
+
 /// The one archive loader behind every operator source (resident, streamed,
 /// cluster shard), format-blind: builds the kernels of frequencies
 /// [q_begin, q_end) of either container, one granule at a time — a kernel
 /// in "TLRA", a band in "TLRS" — seeking straight to the granule offsets in
 /// `info`, so no more than one granule is held in archive form beside the
-/// kernels already built. A band the range cuts keeps its (band-shared)
-/// bases and only the overlapping cores, so every kernel is bitwise equal
-/// to the same frequency of a whole-archive load. `bytes`/`fp32_bytes` sum
-/// the loaded (trimmed) granules' figures. `info` must be an extents peek
-/// of the same, unmodified file; one that does not describe `path` throws
-/// std::invalid_argument before a payload is trusted.
+/// kernels already built. A "TLRA" granule is one read into the state's
+/// staging buffer and one pass from its bytes into the kernel's plan arena
+/// (packed half tiles bit-copied); a band the range cuts keeps its
+/// (band-shared) bases and only the overlapping cores. Every kernel is
+/// bitwise equal to the same frequency of a whole-archive load.
+/// `bytes`/`fp32_bytes` sum the loaded (trimmed) granules' figures. `info`
+/// must be an extents peek of the same, unmodified file; one that does not
+/// describe `path` throws std::invalid_argument before a payload is
+/// trusted, a file cut short under it std::runtime_error.
+[[nodiscard]] LoadedKernels load_kernels(const std::string& path,
+                                         const ArchiveInfo& info,
+                                         index_t q_begin, index_t q_end,
+                                         LoadState& state);
+/// The same with a state of its own.
 [[nodiscard]] LoadedKernels load_kernels(const std::string& path,
                                          const ArchiveInfo& info,
                                          index_t q_begin, index_t q_end);

@@ -1,10 +1,13 @@
 #include "tlrwse/io/archive.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <span>
 
 #include "tlrwse/common/error.hpp"
 #include "tlrwse/io/serialize.hpp"
+#include "tlrwse/tlr/mvm_plan.hpp"
 #include "tlrwse/tlr/stacked.hpp"
 
 namespace tlrwse::io {
@@ -118,44 +121,116 @@ double skip_mat(std::istream& is,
   return static_cast<double>(bytes);
 }
 
+/// Bounds-checked reads over one TLRA granule held whole in memory; a read
+/// past its end is a short read.
+class ByteReader {
+ public:
+  explicit ByteReader(std::span<const char> bytes) : bytes_(bytes) {}
+  /// The next n bytes, in place.
+  const std::byte* take(std::int64_t n) {
+    if (n < 0 || n > left()) {
+      throw std::runtime_error("tlrwse::io: truncated archive");
+    }
+    const auto* p = reinterpret_cast<const std::byte*>(bytes_.data()) + pos_;
+    pos_ += n;
+    return p;
+  }
+  void read(void* dst, std::int64_t n) {
+    std::memcpy(dst, take(n), static_cast<std::size_t>(n));
+  }
+  [[nodiscard]] std::int64_t left() const {
+    return static_cast<std::int64_t>(bytes_.size()) - pos_;
+  }
+
+ private:
+  std::span<const char> bytes_;
+  std::int64_t pos_ = 0;
+};
+
+/// The same reads from an archive stream, bounded by the file's size, so
+/// the header-only walk validates exactly as the granule parser does.
+class StreamReader {
+ public:
+  StreamReader(std::istream& is, std::int64_t file_bytes)
+      : is_(is), end_(file_bytes) {}
+  void read(void* dst, std::int64_t n) {
+    is_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+    if (!is_) throw std::runtime_error("tlrwse::io: truncated archive");
+  }
+  /// Seeks past n bytes the file must hold.
+  void skip(std::int64_t n) {
+    if (n > left()) throw std::runtime_error("tlrwse::io: truncated archive");
+    is_.seekg(n, std::ios::cur);
+  }
+  [[nodiscard]] std::int64_t left() const {
+    return end_ - static_cast<std::int64_t>(is_.tellg());
+  }
+
+ private:
+  std::istream& is_;
+  std::int64_t end_;
+};
+
+template <class Reader>
+std::uint32_t take_u32(Reader& in) {
+  std::uint32_t v{};
+  in.read(&v, sizeof(v));
+  return v;
+}
+template <class Reader>
+std::int64_t take_i64(Reader& in) {
+  std::int64_t v{};
+  in.read(&v, sizeof(v));
+  return v;
+}
+
 /// One embedded TLRA kernel's magic, dims, rank table and (version 2)
 /// per-tile precision table. The payload's exact size follows from ranks
 /// and precisions, so skipping costs a single seek.
 struct EmbeddedTlrHeader {
   tlr::TileGrid grid;
-  std::vector<index_t> ranks;
+  std::vector<index_t> ranks;               // tile_index order
   std::vector<tlr::StoragePrecision> prec;  // empty = uniform fp32 (v1)
 
-  [[nodiscard]] tlr::StoragePrecision precision(index_t i, index_t j) const {
-    if (prec.empty()) return tlr::StoragePrecision::kFp32;
-    return prec[static_cast<std::size_t>(grid.tile_index(i, j))];
+  [[nodiscard]] tlr::StoragePrecision precision(std::size_t t) const {
+    return prec.empty() ? tlr::StoragePrecision::kFp32 : prec[t];
   }
 };
 
-EmbeddedTlrHeader read_tlr_kernel_header(std::istream& is,
-                                       const std::string& path) {
-  if (read_u32(is) != kTlrMagic) {
+/// The one validation of an embedded kernel header, for the extents walk
+/// (a stream) and the granule parser (bytes) alike: std::runtime_error
+/// for a short read, a bad magic or a bad version, std::invalid_argument
+/// for out-of-range dims, ranks or tags — and for a tile count whose rank
+/// table and tile headers cannot fit in what `in` has left, checked before
+/// the rank table is allocated.
+template <class Reader>
+EmbeddedTlrHeader read_tlr_kernel_header(Reader& in, const std::string& path) {
+  if (take_u32(in) != kTlrMagic) {
     throw std::runtime_error("tlrwse::io: bad kernel magic in " + path);
   }
-  const std::uint32_t version = read_u32(is);
+  const std::uint32_t version = take_u32(in);
   if (version != kFormatVersion && version != kFormatVersionMixed) {
     throw std::runtime_error("tlrwse::io: unsupported kernel version");
   }
-  const index_t rows = read_i64(is);
-  const index_t cols = read_i64(is);
-  const index_t nb = read_i64(is);
-  if (!is) throw std::runtime_error("tlrwse::io: truncated archive");
-  TLRWSE_REQUIRE(rows <= kMaxArchiveDim && cols <= kMaxArchiveDim,
+  const index_t rows = take_i64(in);
+  const index_t cols = take_i64(in);
+  const index_t nb = take_i64(in);
+  TLRWSE_REQUIRE(rows <= kMaxArchiveDim && cols <= kMaxArchiveDim &&
+                     nb <= kMaxArchiveDim,
                  "corrupt kernel header: dims out of range");
   EmbeddedTlrHeader h{tlr::TileGrid(rows, cols, nb), {}, {}};
-  h.ranks.resize(static_cast<std::size_t>(h.grid.num_tiles()));
-  for (index_t j = 0; j < h.grid.nt(); ++j) {
-    for (index_t i = 0; i < h.grid.mt(); ++i) {
-      h.ranks[static_cast<std::size_t>(h.grid.tile_index(i, j))] =
-          read_i64(is);
-    }
-  }
-  if (!is) throw std::runtime_error("tlrwse::io: truncated archive");
+  const bool mixed = version == kFormatVersionMixed;
+  // Per tile: a rank, a precision tag (version 2), and the two factors'
+  // four dims.
+  const std::int64_t min_tile_bytes =
+      static_cast<std::int64_t>(5 * sizeof(std::int64_t)) + (mixed ? 1 : 0);
+  const index_t ntiles = h.grid.num_tiles();
+  TLRWSE_REQUIRE(ntiles <= in.left() / min_tile_bytes,
+                 "corrupt kernel header: ", ntiles, " tiles cannot fit in the ",
+                 in.left(), " bytes left of ", path);
+  h.ranks.resize(static_cast<std::size_t>(ntiles));
+  in.read(h.ranks.data(),
+          ntiles * static_cast<std::int64_t>(sizeof(index_t)));
   for (index_t j = 0; j < h.grid.nt(); ++j) {
     for (index_t i = 0; i < h.grid.mt(); ++i) {
       const index_t rank =
@@ -165,80 +240,137 @@ EmbeddedTlrHeader read_tlr_kernel_header(std::istream& is,
                      "corrupt archive: tile rank out of range");
     }
   }
-  if (version == kFormatVersionMixed) {
-    h.prec.resize(static_cast<std::size_t>(h.grid.num_tiles()));
-    for (index_t j = 0; j < h.grid.nt(); ++j) {
-      for (index_t i = 0; i < h.grid.mt(); ++i) {
-        std::uint8_t tag{};
-        is.read(reinterpret_cast<char*>(&tag), 1);
-        TLRWSE_REQUIRE(tlr::valid_precision_tag(tag),
-                       "corrupt archive: bad precision tag");
-        h.prec[static_cast<std::size_t>(h.grid.tile_index(i, j))] =
-            static_cast<tlr::StoragePrecision>(tag);
-      }
+  if (mixed) {
+    h.prec.resize(static_cast<std::size_t>(ntiles));
+    in.read(h.prec.data(), ntiles);
+    for (const tlr::StoragePrecision p : h.prec) {
+      TLRWSE_REQUIRE(tlr::valid_precision_tag(static_cast<std::uint8_t>(p)),
+                     "corrupt archive: bad precision tag");
     }
-    if (!is) throw std::runtime_error("tlrwse::io: truncated archive");
   }
   return h;
 }
 
-/// Factor payload bytes of one kernel (excluding per-tile dim headers),
-/// at each tile's true on-disk precision — the residency currency cache
-/// admission and stream planning price against.
-double tlr_factor_bytes(const EmbeddedTlrHeader& h) {
+/// One kernel's factor payload as stored (half tiles packed) and as it
+/// would be stored uniformly fp32, summed in tile_index order exactly as
+/// TlrMatrix::compressed_bytes() and fp32_bytes() sum them — the
+/// residency currency cache admission and stream planning price against.
+struct FactorBytes {
+  double stored = 0.0;
+  double fp32 = 0.0;
+};
+FactorBytes factor_bytes(const EmbeddedTlrHeader& h) {
+  FactorBytes b;
+  for (index_t j = 0; j < h.grid.nt(); ++j) {
+    for (index_t i = 0; i < h.grid.mt(); ++i) {
+      const auto t = static_cast<std::size_t>(h.grid.tile_index(i, j));
+      const index_t rank = h.ranks[t];
+      const auto elems = static_cast<double>(rank * h.grid.tile_rows(i) +
+                                             rank * h.grid.tile_cols(j));
+      b.stored += elems * sizeof(cf32) *
+                  (tlr::bytes_per_real(h.precision(t)) / 4.0);
+      b.fp32 += elems * sizeof(cf32);
+    }
+  }
+  return b;
+}
+
+/// Bytes of one kernel's tiles after its header: 4 i64 dims + factors
+/// per tile. Summed in double (exact for any real file) so a corrupt rank
+/// table cannot overflow it; a sum past 2^62 bytes is no file.
+std::int64_t tile_payload_bytes(const EmbeddedTlrHeader& h) {
   double bytes = 0.0;
   for (index_t j = 0; j < h.grid.nt(); ++j) {
     for (index_t i = 0; i < h.grid.mt(); ++i) {
-      const index_t rank =
-          h.ranks[static_cast<std::size_t>(h.grid.tile_index(i, j))];
-      bytes += static_cast<double>(rank) *
-               static_cast<double>(h.grid.tile_rows(i) + h.grid.tile_cols(j)) *
-               static_cast<double>(complex_disk_bytes(h.precision(i, j)));
+      const auto t = static_cast<std::size_t>(h.grid.tile_index(i, j));
+      bytes += static_cast<double>(4 * sizeof(std::int64_t)) +
+               static_cast<double>(h.ranks[t]) *
+                   static_cast<double>(h.grid.tile_rows(i) +
+                                       h.grid.tile_cols(j)) *
+                   static_cast<double>(complex_disk_bytes(h.precision(t)));
     }
   }
-  return bytes;
+  TLRWSE_REQUIRE(bytes < 0x1p62, "corrupt archive: tile payload out of range");
+  return static_cast<std::int64_t>(bytes);
 }
 
-/// Seeks past one kernel's tile payload (4 i64 dims + factors per tile).
-void skip_tlr_tiles(std::istream& is, const EmbeddedTlrHeader& h) {
-  std::int64_t bytes = 0;
-  for (index_t j = 0; j < h.grid.nt(); ++j) {
-    for (index_t i = 0; i < h.grid.mt(); ++i) {
-      const index_t rank =
-          h.ranks[static_cast<std::size_t>(h.grid.tile_index(i, j))];
-      bytes += static_cast<std::int64_t>(4 * sizeof(std::int64_t)) +
-               static_cast<std::int64_t>(rank) *
-                   (h.grid.tile_rows(i) + h.grid.tile_cols(j)) *
-                   complex_disk_bytes(h.precision(i, j));
-    }
-  }
-  is.seekg(bytes, std::ios::cur);
-  if (!is) throw std::runtime_error("tlrwse::io: truncated archive");
-}
+/// A TLRA granule parsed in place: its header and a view of each tile's
+/// factors inside the granule's bytes (tile_index order).
+struct TlrGranule {
+  EmbeddedTlrHeader h;
+  std::vector<tlr::TileFactors> tiles;
+};
 
-tlr::TlrMatrix<cf32> read_tlr_tiles(std::istream& is,
-                                    const EmbeddedTlrHeader& h) {
-  const tlr::TileGrid& g = h.grid;
-  std::vector<la::LowRankFactors<cf32>> tiles(
-      static_cast<std::size_t>(g.num_tiles()));
+/// Parses the TLRA granule that fills `bytes` (read from byte `offset` of
+/// `path`): the header as read_tlr_kernel_header checks it, then every
+/// tile's factor dims against the rank table (std::invalid_argument). A
+/// granule whose rank table does not end it exactly at the end of `bytes`
+/// is an extent that does not describe it (std::invalid_argument).
+void parse_tlr_granule(std::span<const char> bytes, const std::string& path,
+                       std::int64_t offset, TlrGranule& out) {
+  ByteReader in(bytes);
+  out.h = read_tlr_kernel_header(in, path);
+  const tlr::TileGrid& g = out.h.grid;
+  TLRWSE_REQUIRE(tile_payload_bytes(out.h) == in.left(),
+                 "archive extents do not match ", path, ": the granule at "
+                 "byte ", offset, " is not ", bytes.size(), " bytes");
+  out.tiles.resize(static_cast<std::size_t>(g.num_tiles()));
   for (index_t j = 0; j < g.nt(); ++j) {
     for (index_t i = 0; i < g.mt(); ++i) {
-      const index_t rank =
-          h.ranks[static_cast<std::size_t>(g.tile_index(i, j))];
-      const tlr::StoragePrecision p = h.precision(i, j);
-      la::LowRankFactors<cf32> t;
-      t.U = read_mat(is, g.tile_rows(i), rank, p);
-      t.Vh = read_mat(is, rank, g.tile_cols(j), p);
-      TLRWSE_REQUIRE(t.U.rows() == g.tile_rows(i) && t.U.cols() == rank &&
-                         t.Vh.rows() == rank &&
-                         t.Vh.cols() == g.tile_cols(j),
+      const auto t = static_cast<std::size_t>(g.tile_index(i, j));
+      const index_t rank = out.h.ranks[t];
+      const tlr::StoragePrecision p = out.h.precision(t);
+      const std::int64_t elem = complex_disk_bytes(p);
+      tlr::TileFactors& f = out.tiles[t];
+      f.packed = tlr::is_half(p);
+      f.ldu = g.tile_rows(i);
+      f.ldvh = rank;
+      // U (tile_rows x rank) then Vh (rank x tile_cols), each after its
+      // (rows, cols) header.
+      const std::int64_t u_rows = take_i64(in);
+      const std::int64_t u_cols = take_i64(in);
+      TLRWSE_REQUIRE(u_rows == g.tile_rows(i) && u_cols == rank,
                      "corrupt archive: tile factors mismatch rank table");
-      tiles[static_cast<std::size_t>(g.tile_index(i, j))] = std::move(t);
+      f.u = in.take(u_rows * u_cols * elem);
+      const std::int64_t v_rows = take_i64(in);
+      const std::int64_t v_cols = take_i64(in);
+      TLRWSE_REQUIRE(v_rows == rank && v_cols == g.tile_cols(j),
+                     "corrupt archive: tile factors mismatch rank table");
+      f.vh = in.take(v_rows * v_cols * elem);
     }
   }
+}
+
+/// Reads the granule of extent `e` with one call into `staging`.
+std::span<const char> read_granule(std::istream& is, const ShardExtent& e,
+                                   std::vector<char>& staging) {
+  TLRWSE_REQUIRE(e.bytes >= 0, "archive extents: negative granule size");
+  const auto n = static_cast<std::size_t>(e.bytes);
+  if (staging.size() < n) staging.resize(n);
+  is.seekg(e.offset);
+  is.read(staging.data(), static_cast<std::streamsize>(n));
   if (!is) throw std::runtime_error("tlrwse::io: truncated archive");
-  tlr::TlrMatrix<cf32> m(g, std::move(tiles));
-  if (!h.prec.empty()) m.set_precision_tags(h.prec);
+  return {staging.data(), n};
+}
+
+/// A factor copied out of a granule view into a matrix: cf32 bytes as they
+/// are, packed half pairs widened through la/half.hpp.
+la::MatrixCF copy_factor(const std::byte* src, index_t rows, index_t cols,
+                         tlr::StoragePrecision p) {
+  la::MatrixCF m(rows, cols);
+  const auto n = static_cast<std::size_t>(rows * cols);
+  if (!tlr::is_half(p)) {
+    if (n > 0) std::memcpy(m.data(), src, n * sizeof(cf32));
+    return m;
+  }
+  const la::HalfFormat fmt = tlr::half_format(p);
+  cf32* d = m.data();
+  for (std::size_t k = 0; k < n; ++k) {
+    std::uint16_t v[2];
+    std::memcpy(v, src + k * sizeof(v), sizeof(v));
+    d[k] = cf32(la::half_bits_to_f32(v[0], fmt),
+                la::half_bits_to_f32(v[1], fmt));
+  }
   return m;
 }
 }  // namespace
@@ -476,36 +608,60 @@ ArchiveInfo peek_archive(const std::string& path) {
   return peek_header(is, path);
 }
 
+namespace {
+
+/// Size of the file behind `is`, leaving the stream where it was.
+std::int64_t stream_bytes(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const auto end = static_cast<std::int64_t>(is.tellg());
+  is.seekg(here);
+  return end;
+}
+
+/// The header-only walk over a "TLRA" container's kernels, from the
+/// stream position just past the band-metadata header: validates each
+/// kernel header, seeks past its tiles and records its extent.
+void walk_tlr_extents(std::istream& is, const std::string& path,
+                      ArchiveInfo& info) {
+  StreamReader in(is, stream_bytes(is));
+  const index_t nf = info.num_freqs();
+  info.freq_payload_bytes.assign(static_cast<std::size_t>(nf), 0.0);
+  info.extents.reserve(static_cast<std::size_t>(nf));
+  double total = 0.0;
+  for (index_t q = 0; q < nf; ++q) {
+    const auto offset = static_cast<std::int64_t>(is.tellg());
+    const EmbeddedTlrHeader h = read_tlr_kernel_header(in, path);
+    if (q == 0) {
+      info.rows = h.grid.rows();
+      info.cols = h.grid.cols();
+    }
+    const double payload = factor_bytes(h).stored;
+    in.skip(tile_payload_bytes(h));
+    ShardExtent e;
+    e.offset = offset;
+    e.bytes = static_cast<std::int64_t>(is.tellg()) - offset;
+    e.payload_bytes = payload;
+    e.first_freq = q;
+    e.num_freqs = 1;
+    info.extents.push_back(e);
+    info.freq_payload_bytes[static_cast<std::size_t>(q)] = payload;
+    total += payload;
+  }
+  info.payload_bytes = total;
+}
+
+}  // namespace
+
 ArchiveInfo peek_archive_extents(const std::string& path) {
   std::ifstream is = open_archive(path);
   ArchiveInfo info = peek_header(is, path);
-  const index_t nf = info.num_freqs();
-  info.freq_payload_bytes.assign(static_cast<std::size_t>(nf), 0.0);
   if (!info.shared_basis) {
-    info.extents.reserve(static_cast<std::size_t>(nf));
-    double total = 0.0;
-    for (index_t q = 0; q < nf; ++q) {
-      const auto offset = static_cast<std::int64_t>(is.tellg());
-      const EmbeddedTlrHeader h = read_tlr_kernel_header(is, path);
-      if (q == 0) {
-        info.rows = h.grid.rows();
-        info.cols = h.grid.cols();
-      }
-      const double payload = tlr_factor_bytes(h);
-      skip_tlr_tiles(is, h);
-      ShardExtent e;
-      e.offset = offset;
-      e.bytes = static_cast<std::int64_t>(is.tellg()) - offset;
-      e.payload_bytes = payload;
-      e.first_freq = q;
-      e.num_freqs = 1;
-      info.extents.push_back(e);
-      info.freq_payload_bytes[static_cast<std::size_t>(q)] = payload;
-      total += payload;
-    }
-    info.payload_bytes = total;
+    walk_tlr_extents(is, path, info);
     return info;
   }
+  const index_t nf = info.num_freqs();
+  info.freq_payload_bytes.assign(static_cast<std::size_t>(nf), 0.0);
   info.extents.reserve(static_cast<std::size_t>(info.num_bands));
   index_t band_start = 0;
   for (index_t bi = 0; bi < info.num_bands; ++bi) {
@@ -563,19 +719,36 @@ std::vector<double> archive_kernel_bytes(const std::string& path) {
 
 KernelArchive load_archive(const std::string& path) {
   std::ifstream is = open_archive(path);
-  const ArchiveInfo info = peek_header(is, path);
+  ArchiveInfo info = peek_header(is, path);
   if (info.shared_basis) {
     throw std::runtime_error("tlrwse::io: bad archive magic in " + path);
   }
+  walk_tlr_extents(is, path, info);
   KernelArchive archive;
   archive.nt = info.nt;
   archive.dt = info.dt;
   archive.freq_bins = info.freq_bins;
   archive.freqs_hz = info.freqs_hz;
   archive.kernels.reserve(static_cast<std::size_t>(info.num_freqs()));
-  for (index_t q = 0; q < info.num_freqs(); ++q) {
-    const EmbeddedTlrHeader h = read_tlr_kernel_header(is, path);
-    archive.kernels.push_back(read_tlr_tiles(is, h));
+  std::vector<char> staging;
+  TlrGranule granule;
+  for (const ShardExtent& e : info.extents) {
+    parse_tlr_granule(read_granule(is, e, staging), path, e.offset, granule);
+    const tlr::TileGrid& g = granule.h.grid;
+    std::vector<la::LowRankFactors<cf32>> tiles(
+        static_cast<std::size_t>(g.num_tiles()));
+    for (index_t j = 0; j < g.nt(); ++j) {
+      for (index_t i = 0; i < g.mt(); ++i) {
+        const auto t = static_cast<std::size_t>(g.tile_index(i, j));
+        const index_t rank = granule.h.ranks[t];
+        const tlr::StoragePrecision p = granule.h.precision(t);
+        tiles[t].U = copy_factor(granule.tiles[t].u, g.tile_rows(i), rank, p);
+        tiles[t].Vh = copy_factor(granule.tiles[t].vh, rank, g.tile_cols(j), p);
+      }
+    }
+    tlr::TlrMatrix<cf32> m(g, std::move(tiles));
+    if (!granule.h.prec.empty()) m.set_precision_tags(granule.h.prec);
+    archive.kernels.push_back(std::move(m));
   }
   return archive;
 }
@@ -789,7 +962,7 @@ std::unique_ptr<mdc::MdcOperator> make_operator(
 }
 
 LoadedKernels load_kernels(const std::string& path, const ArchiveInfo& info,
-                           index_t q_begin, index_t q_end) {
+                           index_t q_begin, index_t q_end, LoadState& state) {
   TLRWSE_REQUIRE(info.has_extents(),
                  "load_kernels needs an extents peek (peek_archive_extents)");
   TLRWSE_REQUIRE(q_begin >= 0 && q_begin <= q_end &&
@@ -808,39 +981,56 @@ LoadedKernels load_kernels(const std::string& path, const ArchiveInfo& info,
       info.shared_basis ? kBandMagic : kTlrMagic;
   LoadedKernels out;
   out.kernels.reserve(static_cast<std::size_t>(q_end - q_begin));
+  TlrGranule granule;
   for (const ShardExtent& e : info.extents) {
     const index_t begin = std::max(q_begin, e.first_freq);
     const index_t end = std::min(q_end, e.first_freq + e.num_freqs);
     if (begin >= end) continue;
     // A granule must start at its recorded offset and end where its
     // extent does; anything else means `info` peeked another file.
+    if (!info.shared_basis) {
+      // One read of the whole granule, one pass from its bytes into the
+      // plan arena — built into storage a dropped kernel handed back
+      // when there is some.
+      const std::span<const char> bytes = read_granule(is, e, state.staging);
+      std::uint32_t magic{};
+      if (bytes.size() >= sizeof(magic)) {
+        std::memcpy(&magic, bytes.data(), sizeof(magic));
+      }
+      TLRWSE_REQUIRE(magic == granule_magic, "archive extents do not match ",
+                     path, ": no granule at byte ", e.offset);
+      parse_tlr_granule(bytes, path, e.offset, granule);
+      const FactorBytes fb = factor_bytes(granule.h);
+      out.bytes += fb.stored;
+      out.fp32_bytes += fb.fp32;
+      tlr::MvmPlan::Storage storage;
+      if (!state.spare.empty()) {
+        storage = std::move(state.spare.back());
+        state.spare.pop_back();
+      }
+      out.kernels.push_back(std::make_unique<mdc::TlrMvm>(
+          tlr::MvmPlan(granule.h.grid, granule.h.ranks, granule.h.prec,
+                       granule.tiles, std::move(storage))));
+      continue;
+    }
     is.seekg(e.offset);
     const std::uint32_t magic = read_u32(is);
     TLRWSE_REQUIRE(is && magic == granule_magic,
                    "archive extents do not match ", path,
                    ": no granule at byte ", e.offset);
     is.seekg(e.offset);
-    if (info.shared_basis) {
-      const BandHeader h = read_band_header(is, path, info.format_version,
-                                            e.num_freqs);
-      TLRWSE_REQUIRE(h.num_freqs == e.num_freqs,
-                     "archive extents do not match ", path, ": band at byte ",
-                     e.offset, " holds ", h.num_freqs, " frequencies, not ",
-                     e.num_freqs);
-      const Band band =
-          read_band(is, h, begin - e.first_freq, end - e.first_freq);
-      out.bytes += band.shared_bytes();
-      out.fp32_bytes += band.fp32_bytes();
-      for (auto& k : mdc::make_shared_basis_kernels(band)) {
-        out.kernels.push_back(std::move(k));
-      }
-    } else {
-      const tlr::TlrMatrix<cf32> k =
-          read_tlr_tiles(is, read_tlr_kernel_header(is, path));
-      out.bytes += k.compressed_bytes();
-      out.fp32_bytes += k.fp32_bytes();
-      out.kernels.push_back(
-          std::make_unique<mdc::TlrMvm>(tlr::StackedTlr<cf32>(k)));
+    const BandHeader h =
+        read_band_header(is, path, info.format_version, e.num_freqs);
+    TLRWSE_REQUIRE(h.num_freqs == e.num_freqs,
+                   "archive extents do not match ", path, ": band at byte ",
+                   e.offset, " holds ", h.num_freqs, " frequencies, not ",
+                   e.num_freqs);
+    const Band band =
+        read_band(is, h, begin - e.first_freq, end - e.first_freq);
+    out.bytes += band.shared_bytes();
+    out.fp32_bytes += band.fp32_bytes();
+    for (auto& k : mdc::make_shared_basis_kernels(band)) {
+      out.kernels.push_back(std::move(k));
     }
     TLRWSE_REQUIRE(static_cast<std::int64_t>(is.tellg()) ==
                        e.offset + e.bytes,
@@ -848,6 +1038,12 @@ LoadedKernels load_kernels(const std::string& path, const ArchiveInfo& info,
                    "byte ", e.offset, " is not ", e.bytes, " bytes");
   }
   return out;
+}
+
+LoadedKernels load_kernels(const std::string& path, const ArchiveInfo& info,
+                           index_t q_begin, index_t q_end) {
+  LoadState state;
+  return load_kernels(path, info, q_begin, q_end, state);
 }
 
 std::unique_ptr<mdc::MdcOperator> open_operator(const std::string& path) {

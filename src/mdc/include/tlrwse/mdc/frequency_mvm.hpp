@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "tlrwse/la/blas.hpp"
 #include "tlrwse/tlr/mvm_plan.hpp"
@@ -105,12 +106,17 @@ class DenseMvm final : public FrequencyMvm {
   la::MatrixCF K_;
 };
 
-/// TLR backend: owns the compiled MvmPlan of one frequency's stacks (the
-/// plan copies every factor into its own arena, so the stacks are not
-/// kept).
+/// TLR backend: owns the compiled MvmPlan of one frequency (the plan copies
+/// every factor into its own arena, so the source is not kept).
 class TlrMvm final : public FrequencyMvm {
  public:
   explicit TlrMvm(const tlr::StackedTlr<cf32>& stacks) : plan_(stacks) {}
+  explicit TlrMvm(tlr::MvmPlan plan) : plan_(std::move(plan)) {}
+  /// Hands the plan's storage back for another build (see
+  /// tlr::MvmPlan::Storage); the kernel is unusable afterwards.
+  [[nodiscard]] tlr::MvmPlan::Storage release_storage() && {
+    return std::move(plan_).release_storage();
+  }
   using FrequencyMvm::apply;
   using FrequencyMvm::apply_adjoint;
   [[nodiscard]] index_t rows() const override { return plan_.rows(); }

@@ -57,18 +57,29 @@ struct ShardKernels {
 
 /// Where shard payloads come from. load() runs on the prefetch thread (or
 /// the consumer thread when prefetch is off) and may throw anything; the
-/// streamer wraps failures into StreamError(kIo).
+/// streamer wraps failures into StreamError(kIo). The streamer hands every
+/// ring shard it drops back through recycle(), on the thread that runs the
+/// next load and just before it.
 class ShardSource {
  public:
   virtual ~ShardSource() = default;
   [[nodiscard]] virtual index_t rows() const = 0;
   [[nodiscard]] virtual index_t cols() const = 0;
   [[nodiscard]] virtual ShardKernels load(index_t q_begin, index_t q_end) = 0;
+  /// Takes back the kernels of one dropped shard; the default frees them.
+  virtual void recycle(
+      std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels) {
+    kernels.clear();
+  }
 };
 
 /// Archive-backed source: slices a TLRA/TLRS container with the extent
 /// table of one peek, so per-shard loads seek straight to their granules
-/// instead of rescanning headers.
+/// instead of rescanning headers. It keeps one io::LoadState: the staging
+/// buffer every granule is read into, and the plan storage of the TLRA
+/// kernels the streamer drops, which the next loads build into — a steady
+/// ring load then writes only into pages that are already mapped. The
+/// spares never outnumber the ring kernels resident at once.
 class ArchiveShardSource final : public ShardSource {
  public:
   /// `info` must be an extents peek of `path` (has_extents()).
@@ -76,10 +87,14 @@ class ArchiveShardSource final : public ShardSource {
   [[nodiscard]] index_t rows() const override { return info_.rows; }
   [[nodiscard]] index_t cols() const override { return info_.cols; }
   [[nodiscard]] ShardKernels load(index_t q_begin, index_t q_end) override;
+  void recycle(
+      std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels) override;
 
  private:
   std::string path_;
   io::ArchiveInfo info_;
+  std::mutex mu_;  // guards state_ against overlapping load()/recycle()
+  io::LoadState state_;
 };
 
 struct StreamConfig {
@@ -97,6 +112,7 @@ struct StreamStats {
   std::uint64_t loads = 0;
   std::uint64_t evictions = 0;  // ring shards dropped
   double bytes_streamed = 0.0;  // payload bytes read disk->RAM
+  double load_s = 0.0;          // wall time of the installed source loads
   double stall_s = 0.0;         // consumer time blocked in acquire
   double peak_resident_bytes = 0.0;
 };
@@ -155,7 +171,7 @@ class ShardStreamer final : public mdc::KernelStream {
   /// it, or fails the stream as kIo. A load that returns to a slot an
   /// aborted sweep reset is discarded. Caller holds mu_ through `lk`.
   void load(index_t s, std::unique_lock<std::mutex>& lk);
-  /// Drops a ready shard's residency and hands its kernels to retired_.
+  /// Drops a ready shard's residency and queues its kernels in retired_.
   /// Caller holds mu_.
   void drop(Slot& slot);
   void fail_stream(StreamError::Code code, const std::string& what);
@@ -171,9 +187,10 @@ class ShardStreamer final : public mdc::KernelStream {
   std::condition_variable ready_cv_;  // consumer waits: shard ready/failed
   std::condition_variable work_cv_;   // prefetcher waits: work or room
   std::vector<Slot> slots_;
-  // Kernels of dropped ring shards, freed by the next load() so the
-  // consumer's release does not pay for the free.
-  std::vector<std::unique_ptr<mdc::FrequencyMvm>> retired_;
+  // Kernels of dropped ring shards, one entry per shard, handed back to
+  // the source by the next load() (ShardSource::recycle) so the
+  // consumer's release pays neither a free nor a recycle.
+  std::vector<std::vector<std::unique_ptr<mdc::FrequencyMvm>>> retired_;
   std::uint64_t cursor_ = 0;  // sweep step the consumer acquires next
   double resident_bytes_ = 0.0;
   bool stop_ = false;

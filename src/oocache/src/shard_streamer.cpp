@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <utility>
 
 #include "tlrwse/common/error.hpp"
@@ -25,6 +24,7 @@ struct StreamMetrics {
   obs::Gauge& bytes_streamed;
   obs::Gauge& bytes_resident;
   obs::Histogram& stall_s;
+  obs::Histogram& load_s;
 
   static StreamMetrics& instance() {
     static StreamMetrics m = [] {
@@ -35,7 +35,8 @@ struct StreamMetrics {
                            reg.counter("oocache.evictions"),
                            reg.gauge("oocache.bytes_streamed"),
                            reg.gauge("oocache.bytes_resident"),
-                           reg.histogram("oocache.stall_s")};
+                           reg.histogram("oocache.stall_s"),
+                           reg.histogram("oocache.load_s")};
     }();
     return m;
   }
@@ -71,8 +72,20 @@ ArchiveShardSource::ArchiveShardSource(std::string path, io::ArchiveInfo info)
 }
 
 ShardKernels ArchiveShardSource::load(index_t q_begin, index_t q_end) {
-  io::LoadedKernels loaded = io::load_kernels(path_, info_, q_begin, q_end);
+  std::lock_guard<std::mutex> lk(mu_);
+  io::LoadedKernels loaded =
+      io::load_kernels(path_, info_, q_begin, q_end, state_);
   return {std::move(loaded.kernels), loaded.bytes};
+}
+
+void ArchiveShardSource::recycle(
+    std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels) {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (auto& k : kernels) {
+    if (auto* tlr = dynamic_cast<mdc::TlrMvm*>(k.get())) {
+      state_.spare.push_back(std::move(*tlr).release_storage());
+    }
+  }
 }
 
 ShardStreamer::ShardStreamer(std::shared_ptr<ShardSource> source,
@@ -227,10 +240,8 @@ void ShardStreamer::drop(Slot& slot) {
   met.bytes_resident.add(-static_cast<std::int64_t>(slot.bytes));
   met.evictions.add();
   ++stats_.evictions;
-  std::move(slot.kernels.begin(), slot.kernels.end(),
-            std::back_inserter(retired_));
+  retired_.push_back(std::move(slot.kernels));
   slot.kernels.clear();
-  slot.kernels.shrink_to_fit();
   slot.raw.clear();
   slot.raw.shrink_to_fit();
   slot.bytes = 0.0;
@@ -252,19 +263,24 @@ void ShardStreamer::load(index_t s, std::unique_lock<std::mutex>& lk) {
   Slot& slot = slots_[static_cast<std::size_t>(s)];
   const StreamShard& sh = plan_.shard(s);
   slot.state = ShardState::kLoading;
-  // Dropped ring shards are freed here, off the consumer's path (their
-  // bytes left the budget at the drop) and before this load allocates.
-  std::vector<std::unique_ptr<mdc::FrequencyMvm>> retired;
+  // Dropped ring shards go back to the source here, off the consumer's
+  // path (their bytes left the budget at the drop) and before this load,
+  // which may build into what they hand back.
+  std::vector<std::vector<std::unique_ptr<mdc::FrequencyMvm>>> retired;
   retired.swap(retired_);
   lk.unlock();
-  retired.clear();
   ShardKernels loaded;
+  double load_s = 0.0;
   bool ok = true;
   std::string err;
   try {
+    for (auto& kernels : retired) source_->recycle(std::move(kernels));
+    retired.clear();
     TLRWSE_TRACE_SPAN("oocache.load", "oocache");
+    const WallTimer timer;
     loaded = source_->load(sh.q_begin, sh.q_end);
     validate_shard(loaded, sh.q_begin, sh.q_end, rows(), cols());
+    load_s = timer.seconds();
   } catch (const std::exception& e) {
     ok = false;
     err = e.what();
@@ -289,7 +305,9 @@ void ShardStreamer::load(index_t s, std::unique_lock<std::mutex>& lk) {
       std::max(stats_.peak_resident_bytes, resident_bytes_);
   ++stats_.loads;
   stats_.bytes_streamed += slot.bytes;
+  stats_.load_s += load_s;
   met.loads.add();
+  met.load_s.record(load_s);
   met.bytes_streamed.add(static_cast<std::int64_t>(slot.bytes));
   met.bytes_resident.add(static_cast<std::int64_t>(slot.bytes));
   ready_cv_.notify_all();

@@ -1,20 +1,28 @@
-// Precompiled MVM plan for a StackedTlr<cf32>: the SIMD-engine execution
-// form of the 3-phase TLR-MVM.
+// Precompiled MVM plan of one TLR matrix: the SIMD-engine execution form
+// of the 3-phase TLR-MVM.
 //
-// Building a plan copies every V/U stack into 64-byte-aligned arenas,
-// split into planar real/imag planes (the paper's complex-to-real
-// splitting, Sec. 6.6) with leading dimensions padded to 16 elements so
-// each column starts on a cache-line boundary. Tiles tagged fp16/bf16
-// (TlrMatrix precision tags, see tlr/precision.hpp) are PACKED as 16-bit
-// planes in a separate uint16 arena — consecutive same-precision tiles of
-// a stack coalesce into one panel, and the widening hgemv kernels stream
-// half the bytes per sweep, which on the memory-bound shapes of the paper
-// is nearly 2x apply throughput. All arithmetic stays fp32: packing is
-// lossless for pre-rounded (quantize_tlr) values, so a uniform-precision
-// plan applies bitwise identically to the fp32 plan of the same rounded
-// matrix. The phase-2 shuffle is flattened at build time into a program of
-// (src, dst, len) segment copies with adjacent tiles merged, replacing the
-// mt x nt nested copy loop of tlr_mvm_3phase with a short run of memcpys.
+// A plan's layout follows from the tile grid, the rank table and the
+// per-tile precision tags alone: V/U stacks split into planar real/imag
+// planes (the paper's complex-to-real splitting, Sec. 6.6) with leading
+// dimensions padded to 16 elements so each column starts on a cache-line
+// boundary. Tiles tagged fp16/bf16 (TlrMatrix precision tags, see
+// tlr/precision.hpp) are PACKED as 16-bit planes in a separate uint16
+// arena — consecutive same-precision tiles of a stack coalesce into one
+// panel, and the widening hgemv kernels stream half the bytes per sweep,
+// which on the memory-bound shapes of the paper is nearly 2x apply
+// throughput. All arithmetic stays fp32: packing is lossless for
+// pre-rounded (quantize_tlr) values, so a uniform-precision plan applies
+// bitwise identically to the fp32 plan of the same rounded matrix. The
+// phase-2 shuffle is flattened at build time into a program of (src, dst,
+// len) segment copies with adjacent tiles merged, replacing the mt x nt
+// nested copy loop of tlr_mvm_3phase with a short run of memcpys.
+//
+// The factors are deposited in one pass from a per-tile view (TileFactors)
+// of wherever they already are: the stacks of a StackedTlr, or the bytes of
+// an archive granule, whose packed half tiles are bit-copied into the
+// 16-bit panels. A plan can hand its storage back (release_storage) and a
+// build can take storage in, so a loader that recycles the plans it drops
+// builds the next one into pages that are already mapped.
 //
 // apply()/apply_adjoint() run the planned 3-phase dataflow through the
 // fused split-complex microkernels of la::simd; the _multi variants carry
@@ -27,7 +35,9 @@
 // per-call scratch lives in the caller's PlanWorkspace.
 #pragma once
 
+#include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "tlrwse/common/aligned.hpp"
@@ -55,13 +65,74 @@ struct PlanWorkspace {
   Buf cr, ci;    // factored-core scratch (SharedBasisMvmPlan only)
 };
 
+/// One tile's factors where the caller holds them: column-major U
+/// (tile_rows x rank, leading dimension ldu) and Vh (rank x tile_cols,
+/// leading dimension ldvh), in complex elements. The elements are
+/// interleaved cf32, or — a half tile as an archive stores it — packed
+/// (re, im) 16-bit pairs. The pointers need no alignment.
+struct TileFactors {
+  const std::byte* u = nullptr;
+  const std::byte* vh = nullptr;
+  index_t ldu = 0;
+  index_t ldvh = 0;
+  bool packed = false;
+};
+
 class MvmPlan {
+  // One same-precision run of tiles inside a stack. V panels split the
+  // stack along its ROWS (disjoint output slices, so panel order cannot
+  // change results); U panels split along its COLUMNS, and phase 3 chains
+  // accumulation across panels in the same per-element FMA order as the
+  // unsplit sweep, so a uniform-precision plan stays bitwise identical to
+  // the single-panel layout.
+  struct Panel {
+    StoragePrecision prec;
+    index_t re, im;  // plane offsets into arena (fp32) or arena16 (half)
+    index_t ld;      // padded leading dimension, in elements
+    index_t off;     // start along the split dimension of the stack
+    index_t len;     // extent along the split dimension
+  };
+  // One tile column's V stack (m = rank sum x n = tile_cols) or one tile
+  // row's U stack (m = tile_rows x n = rank sum).
+  struct Stack {
+    index_t m, n;
+    index_t x_off;   // offset of this stack's slice of x (V) or y (U)
+    index_t y_base;  // offset of this stack's segment in yv / yu space
+    std::size_t p0, p1;  // its panels: [p0, p1) of Storage::panels,
+                         // a partition of the rank extent by precision
+    index_t fill;    // build cursor along the rank extent
+  };
+
  public:
-  /// Builds the arena + shuffle program from the stacks. `kt` pins the
-  /// kernel tier (for parity tests); nullptr uses the process-wide
-  /// la::simd::dispatch() table.
+  /// Every buffer a plan owns. A build takes a Storage in and reuses its
+  /// capacity: one with enough capacity allocates nothing, and the arena
+  /// pages it brings are already mapped. Contents are overwritten.
+  struct Storage {
+    std::vector<float, UninitAlignedAllocator<float>> arena;
+    std::vector<std::uint16_t, UninitAlignedAllocator<std::uint16_t>> arena16;
+    std::vector<Panel> panels;
+    std::vector<Stack> v;  // per tile column
+    std::vector<Stack> u;  // per tile row
+    std::vector<ShuffleSegment> shuffle;
+  };
+
+  /// Builds the plan of a `g`-shaped matrix from its rank table, its
+  /// precision tags (empty = all fp32) and each tile's factors, all three
+  /// in tile_index order. Packed factors are only valid for half tiles.
+  /// `storage` is reused (see Storage). `kt` pins the kernel tier (for
+  /// parity tests); nullptr uses the process-wide la::simd::dispatch()
+  /// table.
+  MvmPlan(const TileGrid& g, std::span<const index_t> ranks,
+          std::span<const StoragePrecision> prec,
+          std::span<const TileFactors> tiles, Storage storage = {},
+          const la::simd::KernelTable* kt = nullptr);
+  /// The same build over the stacks of `A`.
   explicit MvmPlan(const StackedTlr<cf32>& A,
                    const la::simd::KernelTable* kt = nullptr);
+
+  /// Hands the plan's buffers back for another build; the plan is empty
+  /// afterwards.
+  [[nodiscard]] Storage release_storage() && { return std::move(s_); }
 
   /// y = A x  (x: cols(), y: rows()).
   void apply(std::span<const cf32> x, std::span<cf32> y,
@@ -83,61 +154,35 @@ class MvmPlan {
   /// Arena footprint in bytes: fp32 planes at 4 B/real plus packed 16-bit
   /// planes at 2 B/real — the real resident size of the factors.
   [[nodiscard]] std::size_t arena_bytes() const noexcept {
-    return arena_.size() * sizeof(float) +
-           arena16_.size() * sizeof(std::uint16_t);
+    return s_.arena.size() * sizeof(float) +
+           s_.arena16.size() * sizeof(std::uint16_t);
   }
   /// Bytes the same planes would occupy stored uniformly fp32.
   [[nodiscard]] std::size_t fp32_equivalent_bytes() const noexcept {
-    return (arena_.size() + 2 * arena16_.size()) * sizeof(float);
+    return (s_.arena.size() + 2 * s_.arena16.size()) * sizeof(float);
   }
   /// True when at least one stack panel is packed 16-bit.
   [[nodiscard]] bool has_half_panels() const noexcept {
-    return !arena16_.empty();
+    return !s_.arena16.empty();
   }
   [[nodiscard]] const std::vector<ShuffleSegment>& shuffle_program()
       const noexcept {
-    return shuffle_;
+    return s_.shuffle;
   }
   [[nodiscard]] const la::simd::KernelTable& kernels() const noexcept {
     return *kt_;
   }
 
  private:
-  // One same-precision run of tiles inside a stack. V panels split the
-  // stack along its ROWS (disjoint output slices, so panel order cannot
-  // change results); U panels split along its COLUMNS, and phase 3 chains
-  // accumulation across panels in the same per-element FMA order as the
-  // unsplit sweep, so a uniform-precision plan stays bitwise identical to
-  // the single-panel layout.
-  struct Panel {
-    StoragePrecision prec;
-    index_t re, im;  // plane offsets into arena_ (fp32) or arena16_ (half)
-    index_t ld;      // padded leading dimension, in elements
-    index_t off;     // start along the split dimension of the stack
-    index_t len;     // extent along the split dimension
-  };
-  struct ColPlane {  // one tile column's V planes
-    index_t m, n;    // logical stack shape (rank_sum x tile_cols)
-    index_t x_off;   // offset of this column's slice of x
-    index_t y_base;  // offset of this column's segment in yv-space
-    std::vector<Panel> panels;  // partition of [0, m) by precision
-  };
-  struct RowPlane {  // one tile row's U planes
-    index_t m, n;    // tile_rows x rank_sum
-    index_t x_off;   // offset of this row's slice of the output
-    index_t y_base;  // offset of this row's segment in yu-space
-    std::vector<Panel> panels;  // partition of [0, n) by precision
-  };
+  void build(const TileGrid& g, std::span<const index_t> ranks,
+             std::span<const StoragePrecision> prec,
+             std::span<const TileFactors> tiles);
 
   const la::simd::KernelTable* kt_;
   index_t rows_ = 0;
   index_t cols_ = 0;
   index_t total_rank_ = 0;
-  std::vector<float, AlignedAllocator<float>> arena_;
-  std::vector<std::uint16_t, AlignedAllocator<std::uint16_t>> arena16_;
-  std::vector<ColPlane> v_;
-  std::vector<RowPlane> u_;
-  std::vector<ShuffleSegment> shuffle_;
+  Storage s_;
 };
 
 }  // namespace tlrwse::tlr

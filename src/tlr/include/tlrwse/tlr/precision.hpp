@@ -3,9 +3,9 @@
 // A tile's U/V bases can be stored as packed fp16 or bf16 planes (see
 // la/half.hpp for the exact packing semantics) while all arithmetic
 // accumulates in float32. The tag travels with the tile everywhere bytes
-// are counted or moved: TlrMatrix -> StackedTlr -> MvmPlan arenas,
-// and through the TLRA/TLRS archive rank tables so streaming and serve
-// admission price the operator at its true packed size.
+// are counted or moved: TlrMatrix -> StackedTlr -> MvmPlan arenas, the
+// TLRA/TLRS archive rank tables (so streaming and serve admission price
+// the operator at its true packed size), and archive granule -> MvmPlan.
 //
 // The numeric values are the on-disk encoding of the archive precision
 // tables (format version 2) — do not renumber.

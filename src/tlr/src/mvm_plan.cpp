@@ -1,5 +1,6 @@
 #include "tlrwse/tlr/mvm_plan.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "tlrwse/common/error.hpp"
@@ -26,41 +27,102 @@ void ensure(PlanWorkspace::Buf& b, std::size_t n) {
   if (b.size() < n) b.resize(n);
 }
 
-// One same-precision run of tiles along a stack: [off, off + len) in the
-// split dimension. Zero-rank tiles contribute nothing and do not break a
-// run.
-struct Run {
-  StoragePrecision prec;
-  index_t off;
-  index_t len;
-};
+// Splits n complex elements at `src` into planes re/im. fp32 planes take
+// interleaved cf32 only; 16-bit planes take cf32 values (packed through
+// la/half.hpp, lossless for values pre-rounded by quantize_tlr) or packed
+// (re, im) pairs, which are bit-copied. Sources may be unaligned, so each
+// component is read by a memcpy of its own width (vectorisable loads).
+template <class T>
+T load(const std::byte* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
 
-template <class RankAt, class PrecAt>
-std::vector<Run> precision_runs(index_t count, RankAt&& rank_at,
-                                PrecAt&& prec_at) {
-  std::vector<Run> runs;
-  index_t off = 0;
-  for (index_t t = 0; t < count; ++t) {
-    const index_t len = rank_at(t);
-    if (len == 0) continue;
-    const StoragePrecision p = prec_at(t);
-    if (!runs.empty() && runs.back().prec == p) {
-      runs.back().len += len;
-    } else {
-      runs.push_back({p, off, len});
-    }
-    off += len;
+void put(const std::byte* src, bool /*packed*/, la::HalfFormat /*fmt*/,
+         index_t n, float* __restrict re, float* __restrict im) {
+  for (index_t r = 0; r < n; ++r) {
+    re[r] = load<float>(src + 8 * r);
+    im[r] = load<float>(src + 8 * r + 4);
   }
-  return runs;
+}
+
+void put(const std::byte* src, bool packed, la::HalfFormat fmt, index_t n,
+         std::uint16_t* __restrict re, std::uint16_t* __restrict im) {
+  if (packed) {
+    for (index_t r = 0; r < n; ++r) {
+      re[r] = load<std::uint16_t>(src + 4 * r);
+      im[r] = load<std::uint16_t>(src + 4 * r + 2);
+    }
+    return;
+  }
+  for (index_t r = 0; r < n; ++r) {
+    re[r] = la::f32_to_half_bits(load<float>(src + 8 * r), fmt);
+    im[r] = la::f32_to_half_bits(load<float>(src + 8 * r + 4), fmt);
+  }
+}
+
+/// Bytes of one complex element of a tile view.
+std::size_t elem_bytes(const TileFactors& t) {
+  return t.packed ? 2 * sizeof(std::uint16_t) : sizeof(cf32);
 }
 
 }  // namespace
 
+MvmPlan::MvmPlan(const TileGrid& g, std::span<const index_t> ranks,
+                 std::span<const StoragePrecision> prec,
+                 std::span<const TileFactors> tiles, Storage storage,
+                 const la::simd::KernelTable* kt)
+    : kt_(kt != nullptr ? kt : &la::simd::dispatch()), s_(std::move(storage)) {
+  build(g, ranks, prec, tiles);
+}
+
 MvmPlan::MvmPlan(const StackedTlr<cf32>& A, const la::simd::KernelTable* kt)
     : kt_(kt != nullptr ? kt : &la::simd::dispatch()) {
   const TileGrid& g = A.grid();
+  const auto ntiles = static_cast<std::size_t>(g.num_tiles());
+  std::vector<index_t> ranks(ntiles);
+  std::vector<StoragePrecision> prec(ntiles);
+  std::vector<TileFactors> tiles(ntiles);
+  for (index_t j = 0; j < g.nt(); ++j) {
+    for (index_t i = 0; i < g.mt(); ++i) {
+      const auto t = static_cast<std::size_t>(g.tile_index(i, j));
+      ranks[t] = A.rank(i, j);
+      prec[t] = A.precision(i, j);
+      const la::Matrix<cf32>& us = A.u_stack(i);
+      const la::Matrix<cf32>& vs = A.v_stack(j);
+      tiles[t] = {reinterpret_cast<const std::byte*>(us.col(A.u_offset(i, j))),
+                  reinterpret_cast<const std::byte*>(vs.data() +
+                                                     A.v_offset(i, j)),
+                  us.rows(), vs.rows(), false};
+    }
+  }
+  build(g, ranks, prec, tiles);
+}
+
+void MvmPlan::build(const TileGrid& g, std::span<const index_t> ranks,
+                    std::span<const StoragePrecision> prec,
+                    std::span<const TileFactors> tiles) {
+  const auto ntiles = static_cast<std::size_t>(g.num_tiles());
+  TLRWSE_REQUIRE(ranks.size() == ntiles && tiles.size() == ntiles &&
+                     (prec.empty() || prec.size() == ntiles),
+                 "plan build: ", ranks.size(), " ranks, ", prec.size(),
+                 " precision tags and ", tiles.size(), " tile views for ",
+                 ntiles, " tiles");
+  const auto rank = [&](index_t i, index_t j) {
+    return ranks[static_cast<std::size_t>(g.tile_index(i, j))];
+  };
+  const auto precision = [&](index_t i, index_t j) {
+    return prec.empty() ? StoragePrecision::kFp32
+                        : prec[static_cast<std::size_t>(g.tile_index(i, j))];
+  };
   rows_ = g.rows();
   cols_ = g.cols();
+  total_rank_ = 0;
+  s_.panels.clear();
+  s_.v.clear();
+  s_.u.clear();
+  s_.shuffle.clear();
 
   // Lay out all planes: per-column V re/im, then per-row U re/im, each
   // stack partitioned into same-precision panels. fp32 panels go into the
@@ -70,130 +132,167 @@ MvmPlan::MvmPlan(const StackedTlr<cf32>& A, const la::simd::KernelTable* kt)
   index_t off32 = 0;
   index_t off16 = 0;
   auto place = [&](Panel& p, index_t plane_elems) {
-    if (is_half(p.prec)) {
-      p.re = off16;
-      off16 += plane_elems;
-      p.im = off16;
-      off16 += plane_elems;
-    } else {
-      p.re = off32;
-      off32 += plane_elems;
-      p.im = off32;
-      off32 += plane_elems;
+    index_t& off = is_half(p.prec) ? off16 : off32;
+    p.re = off;
+    p.im = off + plane_elems;
+    off += 2 * plane_elems;
+  };
+  // Appends the panels of one stack: one per run of same-precision tiles
+  // along its rank extent (zero-rank tiles contribute nothing and do not
+  // break a run). Returns the extent.
+  auto runs = [&](Stack& s, index_t count, auto&& rank_at, auto&& prec_at) {
+    s.p0 = s_.panels.size();
+    index_t off = 0;
+    for (index_t t = 0; t < count; ++t) {
+      const index_t len = rank_at(t);
+      if (len == 0) continue;
+      const StoragePrecision p = prec_at(t);
+      if (s_.panels.size() > s.p0 && s_.panels.back().prec == p) {
+        s_.panels.back().len += len;
+      } else {
+        s_.panels.push_back({p, 0, 0, 0, off, len});
+      }
+      off += len;
     }
+    s.p1 = s_.panels.size();
+    return off;
   };
 
-  v_.resize(static_cast<std::size_t>(g.nt()));
+  s_.v.resize(static_cast<std::size_t>(g.nt()));
   for (index_t j = 0; j < g.nt(); ++j) {
-    ColPlane& c = v_[static_cast<std::size_t>(j)];
-    c.m = A.col_rank_sum(j);
+    Stack& c = s_.v[static_cast<std::size_t>(j)];
     c.n = g.tile_cols(j);
     c.x_off = g.col_offset(j);
     c.y_base = total_rank_;
-    // V stacks split along their rows (ranks): one panel per run of
-    // same-precision tiles down the column.
-    for (const Run& r : precision_runs(
-             g.mt(), [&](index_t i) { return A.rank(i, j); },
-             [&](index_t i) { return A.precision(i, j); })) {
-      Panel p;
-      p.prec = r.prec;
-      p.off = r.off;
-      p.len = r.len;
-      p.ld = round_up(r.len);
+    c.fill = 0;
+    // V stacks split along their rows (ranks).
+    c.m = runs(
+        c, g.mt(), [&](index_t i) { return rank(i, j); },
+        [&](index_t i) { return precision(i, j); });
+    for (std::size_t k = c.p0; k < c.p1; ++k) {
+      Panel& p = s_.panels[k];
+      p.ld = round_up(p.len);
       place(p, p.ld * c.n);
-      c.panels.push_back(p);
     }
     total_rank_ += c.m;
   }
-  u_.resize(static_cast<std::size_t>(g.mt()));
+  s_.u.resize(static_cast<std::size_t>(g.mt()));
   index_t yu_base = 0;
   for (index_t i = 0; i < g.mt(); ++i) {
-    RowPlane& r = u_[static_cast<std::size_t>(i)];
+    Stack& r = s_.u[static_cast<std::size_t>(i)];
     r.m = g.tile_rows(i);
-    r.n = A.row_rank_sum(i);
     r.x_off = g.row_offset(i);
     r.y_base = yu_base;
-    yu_base += r.n;
+    r.fill = 0;
     // U stacks split along their columns (ranks): every panel keeps the
     // full tile height, so all panels of a row share one leading dim.
-    for (const Run& run : precision_runs(
-             g.nt(), [&](index_t j) { return A.rank(i, j); },
-             [&](index_t j) { return A.precision(i, j); })) {
-      Panel p;
-      p.prec = run.prec;
-      p.off = run.off;
-      p.len = run.len;
+    r.n = runs(
+        r, g.nt(), [&](index_t j) { return rank(i, j); },
+        [&](index_t j) { return precision(i, j); });
+    yu_base += r.n;
+    for (std::size_t k = r.p0; k < r.p1; ++k) {
+      Panel& p = s_.panels[k];
       p.ld = round_up(r.m);
-      place(p, p.ld * run.len);
-      r.panels.push_back(p);
+      place(p, p.ld * p.len);
     }
   }
 
-  // Zero bits are +0.0f in fp32, fp16, and bf16 alike, so padding in
-  // either arena contributes exact zeros to any kernel sweep.
-  arena_.assign(static_cast<std::size_t>(off32), 0.0f);
-  arena16_.assign(static_cast<std::size_t>(off16), 0);
+  // Every arena element is written below — factors, then zero padding —
+  // so the resize leaves them unwritten (UninitAlignedAllocator). Zero
+  // bits are +0.0f in fp32, fp16 and bf16 alike, so padding contributes
+  // exact zeros to any kernel sweep.
+  s_.arena.resize(static_cast<std::size_t>(off32));
+  s_.arena16.resize(static_cast<std::size_t>(off16));
 
-  // Deposit: split each stack slice into planar re/im, packing half panels
-  // through la/half.hpp (lossless for values pre-rounded by quantize_tlr).
-  auto deposit = [&](const Panel& p, const la::Matrix<cf32>& stack,
-                     index_t row0, index_t col0, index_t nrows,
-                     index_t ncols) {
+  // Deposits len complex elements per column into `ncols` columns of
+  // panel p, starting at (row0, col0): column c of the source begins at
+  // src + c * ld_src elements.
+  auto deposit = [&](const Panel& p, const std::byte* src,
+                     std::size_t ld_src_bytes, bool packed, index_t row0,
+                     index_t col0, index_t len, index_t ncols) {
+    const la::HalfFormat fmt = half_format(p.prec);
+    auto into = [&](auto* arena) {
+      for (index_t c = 0; c < ncols; ++c) {
+        const index_t at = (col0 + c) * p.ld + row0;
+        put(src + static_cast<std::size_t>(c) * ld_src_bytes, packed, fmt,
+            len, arena + p.re + at, arena + p.im + at);
+      }
+    };
     if (is_half(p.prec)) {
-      const la::HalfFormat fmt = half_format(p.prec);
-      for (index_t col = 0; col < ncols; ++col) {
-        const cf32* src = stack.col(col0 + col) + row0;
-        std::uint16_t* re = arena16_.data() + p.re + col * p.ld;
-        std::uint16_t* im = arena16_.data() + p.im + col * p.ld;
-        for (index_t row = 0; row < nrows; ++row) {
-          re[row] = la::f32_to_half_bits(src[row].real(), fmt);
-          im[row] = la::f32_to_half_bits(src[row].imag(), fmt);
-        }
-      }
+      into(s_.arena16.data());
     } else {
-      for (index_t col = 0; col < ncols; ++col) {
-        const cf32* src = stack.col(col0 + col) + row0;
-        float* re = arena_.data() + p.re + col * p.ld;
-        float* im = arena_.data() + p.im + col * p.ld;
-        for (index_t row = 0; row < nrows; ++row) {
-          re[row] = src[row].real();
-          im[row] = src[row].imag();
-        }
-      }
+      into(s_.arena.data());
     }
   };
-  for (index_t j = 0; j < g.nt(); ++j) {
-    const ColPlane& c = v_[static_cast<std::size_t>(j)];
-    for (const Panel& p : c.panels) {
-      deposit(p, A.v_stack(j), p.off, 0, p.len, c.n);
+  // Zero-fills rows [from, ld) of every column of panel p.
+  auto pad = [&](const Panel& p, index_t from, index_t ncols) {
+    auto into = [&](auto* arena) {
+      for (index_t c = 0; c < ncols; ++c) {
+        std::fill(arena + p.re + c * p.ld + from, arena + p.re + (c + 1) * p.ld,
+                  0);
+        std::fill(arena + p.im + c * p.ld + from, arena + p.im + (c + 1) * p.ld,
+                  0);
+      }
+    };
+    if (is_half(p.prec)) {
+      into(s_.arena16.data());
+    } else {
+      into(s_.arena.data());
     }
-  }
-  for (index_t i = 0; i < g.mt(); ++i) {
-    const RowPlane& r = u_[static_cast<std::size_t>(i)];
-    for (const Panel& p : r.panels) {
-      deposit(p, A.u_stack(i), 0, p.off, r.m, p.len);
-    }
-  }
+  };
 
-  // Flatten the phase-2 shuffle. Walking j outer / i inner matches the
-  // loop order of tlr_mvm_3phase; runs that are contiguous in BOTH spaces
-  // merge into one segment (zero-rank tiles vanish entirely).
+  // The panel of stack s that holds rank offset `off`.
+  auto panel_at = [&](const Stack& s, index_t off) -> const Panel& {
+    std::size_t k = s.p0;
+    while (off >= s_.panels[k].off + s_.panels[k].len) ++k;
+    return s_.panels[k];
+  };
+
+  // One walk over the tiles, j outer / i inner (the loop order of
+  // tlr_mvm_3phase): tile (i, j)'s Vh rows land at column j's V cursor,
+  // its U columns at row i's U cursor, and the flattened phase-2 shuffle
+  // copies the one to the other. Segments contiguous in BOTH spaces merge
+  // (zero-rank tiles vanish entirely).
   for (index_t j = 0; j < g.nt(); ++j) {
+    Stack& c = s_.v[static_cast<std::size_t>(j)];
     for (index_t i = 0; i < g.mt(); ++i) {
-      const index_t len = A.rank(i, j);
-      if (len == 0) continue;
-      const index_t src = v_[static_cast<std::size_t>(j)].y_base +
-                          A.v_offset(i, j);
-      const index_t dst = u_[static_cast<std::size_t>(i)].y_base +
-                          A.u_offset(i, j);
-      if (!shuffle_.empty()) {
-        ShuffleSegment& last = shuffle_.back();
+      const index_t r = rank(i, j);
+      if (r == 0) continue;
+      Stack& row = s_.u[static_cast<std::size_t>(i)];
+      const TileFactors& t =
+          tiles[static_cast<std::size_t>(g.tile_index(i, j))];
+      const Panel& pv = panel_at(c, c.fill);
+      TLRWSE_REQUIRE(!t.packed || is_half(pv.prec),
+                     "plan build: packed factors on fp32 tile (", i, ", ", j,
+                     ")");
+      deposit(pv, t.vh, static_cast<std::size_t>(t.ldvh) * elem_bytes(t),
+              t.packed, c.fill - pv.off, 0, r, c.n);
+      const Panel& pu = panel_at(row, row.fill);
+      deposit(pu, t.u, static_cast<std::size_t>(t.ldu) * elem_bytes(t),
+              t.packed, 0, row.fill - pu.off, row.m, r);
+
+      const index_t src = c.y_base + c.fill;
+      const index_t dst = row.y_base + row.fill;
+      c.fill += r;
+      row.fill += r;
+      if (!s_.shuffle.empty()) {
+        ShuffleSegment& last = s_.shuffle.back();
         if (last.src + last.len == src && last.dst + last.len == dst) {
-          last.len += len;
+          last.len += r;
           continue;
         }
       }
-      shuffle_.push_back({src, dst, len});
+      s_.shuffle.push_back({src, dst, r});
+    }
+    // V columns pad below their rank extent ...
+    for (std::size_t k = c.p0; k < c.p1; ++k) {
+      pad(s_.panels[k], s_.panels[k].len, c.n);
+    }
+  }
+  // ... and U columns below the tile height.
+  for (const Stack& row : s_.u) {
+    for (std::size_t k = row.p0; k < row.p1; ++k) {
+      pad(s_.panels[k], row.m, s_.panels[k].len);
     }
   }
 }
@@ -235,19 +334,20 @@ void MvmPlan::apply_multi(std::span<const cf32> X, std::span<cf32> Y,
   // Phase 1: V-batch per tile column, all RHS in one sweep over the
   // planes. Panels partition the output rows of the stack, so each panel
   // writes its own disjoint yv slice.
-  for (const ColPlane& c : v_) {
-    for (const Panel& p : c.panels) {
+  for (const Stack& c : s_.v) {
+    for (std::size_t pi = c.p0; pi < c.p1; ++pi) {
+      const Panel& p = s_.panels[pi];
       float* yr = ws.yvr.data() + c.y_base + p.off;
       float* yi = ws.yvi.data() + c.y_base + p.off;
       if (is_half(p.prec)) {
         k.hgemv_split_multi(half_format(p.prec), p.len, c.n,
-                            arena16_.data() + p.re, arena16_.data() + p.im,
+                            s_.arena16.data() + p.re, s_.arena16.data() + p.im,
                             p.ld, ws.xr.data() + c.x_off,
                             ws.xi.data() + c.x_off, cols_, yr, yi, total_rank_,
                             nrhs, /*accumulate=*/false);
       } else {
-        k.sgemv_split_multi(p.len, c.n, arena_.data() + p.re,
-                            arena_.data() + p.im, p.ld,
+        k.sgemv_split_multi(p.len, c.n, s_.arena.data() + p.re,
+                            s_.arena.data() + p.im, p.ld,
                             ws.xr.data() + c.x_off, ws.xi.data() + c.x_off,
                             cols_, yr, yi, total_rank_, nrhs,
                             /*accumulate=*/false);
@@ -261,7 +361,7 @@ void MvmPlan::apply_multi(std::span<const cf32> X, std::span<cf32> Y,
     const float* si = ws.yvi.data() + r * total_rank_;
     float* dr = ws.yur.data() + r * total_rank_;
     float* di = ws.yui.data() + r * total_rank_;
-    for (const ShuffleSegment& s : shuffle_) {
+    for (const ShuffleSegment& s : s_.shuffle) {
       std::memcpy(dr + s.dst, sr + s.src,
                   static_cast<std::size_t>(s.len) * sizeof(float));
       std::memcpy(di + s.dst, si + s.src,
@@ -272,9 +372,9 @@ void MvmPlan::apply_multi(std::span<const cf32> X, std::span<cf32> Y,
   // Phase 3: U-batch per tile row; rows partition the output. Panels split
   // the reduction over the stack's columns, chaining accumulation in the
   // same per-element FMA order as an unsplit sweep.
-  for (const RowPlane& u : u_) {
+  for (const Stack& u : s_.u) {
     if (u.m == 0) continue;
-    if (u.panels.empty()) {
+    if (u.p0 == u.p1) {
       // All tiles of the row have rank zero: the output slice is zero.
       for (index_t r = 0; r < nrhs; ++r) {
         std::memset(ws.tr.data() + r * rows_ + u.x_off, 0,
@@ -285,18 +385,19 @@ void MvmPlan::apply_multi(std::span<const cf32> X, std::span<cf32> Y,
       continue;
     }
     bool accumulate = false;
-    for (const Panel& p : u.panels) {
+    for (std::size_t pi = u.p0; pi < u.p1; ++pi) {
+      const Panel& p = s_.panels[pi];
       const float* xr = ws.yur.data() + u.y_base + p.off;
       const float* xi = ws.yui.data() + u.y_base + p.off;
       if (is_half(p.prec)) {
         k.hgemv_split_multi(half_format(p.prec), u.m, p.len,
-                            arena16_.data() + p.re, arena16_.data() + p.im,
+                            s_.arena16.data() + p.re, s_.arena16.data() + p.im,
                             p.ld, xr, xi, total_rank_,
                             ws.tr.data() + u.x_off, ws.ti.data() + u.x_off,
                             rows_, nrhs, accumulate);
       } else {
-        k.sgemv_split_multi(u.m, p.len, arena_.data() + p.re,
-                            arena_.data() + p.im, p.ld, xr, xi, total_rank_,
+        k.sgemv_split_multi(u.m, p.len, s_.arena.data() + p.re,
+                            s_.arena.data() + p.im, p.ld, xr, xi, total_rank_,
                             ws.tr.data() + u.x_off, ws.ti.data() + u.x_off,
                             rows_, nrhs, accumulate);
       }
@@ -336,20 +437,21 @@ void MvmPlan::apply_adjoint_multi(std::span<const cf32> X, std::span<cf32> Y,
 
   // Adjoint runs the dataflow backwards: U^H per tile row (panels
   // partition the yu outputs, so order is free) ...
-  for (const RowPlane& u : u_) {
-    for (const Panel& p : u.panels) {
+  for (const Stack& u : s_.u) {
+    for (std::size_t pi = u.p0; pi < u.p1; ++pi) {
+      const Panel& p = s_.panels[pi];
       float* yr = ws.yur.data() + u.y_base + p.off;
       float* yi = ws.yui.data() + u.y_base + p.off;
       if (is_half(p.prec)) {
         k.hgemv_split_adjoint_multi(half_format(p.prec), u.m, p.len,
-                                    arena16_.data() + p.re,
-                                    arena16_.data() + p.im, p.ld,
+                                    s_.arena16.data() + p.re,
+                                    s_.arena16.data() + p.im, p.ld,
                                     ws.xr.data() + u.x_off,
                                     ws.xi.data() + u.x_off, rows_, yr, yi,
                                     total_rank_, nrhs, /*accumulate=*/false);
       } else {
-        k.sgemv_split_adjoint_multi(u.m, p.len, arena_.data() + p.re,
-                                    arena_.data() + p.im, p.ld,
+        k.sgemv_split_adjoint_multi(u.m, p.len, s_.arena.data() + p.re,
+                                    s_.arena.data() + p.im, p.ld,
                                     ws.xr.data() + u.x_off,
                                     ws.xi.data() + u.x_off, rows_, yr, yi,
                                     total_rank_, nrhs, /*accumulate=*/false);
@@ -363,7 +465,7 @@ void MvmPlan::apply_adjoint_multi(std::span<const cf32> X, std::span<cf32> Y,
     const float* si = ws.yui.data() + r * total_rank_;
     float* dr = ws.yvr.data() + r * total_rank_;
     float* di = ws.yvi.data() + r * total_rank_;
-    for (const ShuffleSegment& s : shuffle_) {
+    for (const ShuffleSegment& s : s_.shuffle) {
       std::memcpy(dr + s.src, sr + s.dst,
                   static_cast<std::size_t>(s.len) * sizeof(float));
       std::memcpy(di + s.src, si + s.dst,
@@ -377,9 +479,9 @@ void MvmPlan::apply_adjoint_multi(std::span<const cf32> X, std::span<cf32> Y,
   // panels' reductions in panel order — deterministic, but grouped
   // differently than a single-panel sweep; uniform-precision plans keep
   // one panel and the historical bitwise behaviour.
-  for (const ColPlane& c : v_) {
+  for (const Stack& c : s_.v) {
     if (c.n == 0) continue;
-    if (c.panels.empty()) {
+    if (c.p0 == c.p1) {
       for (index_t r = 0; r < nrhs; ++r) {
         std::memset(ws.tr.data() + r * cols_ + c.x_off, 0,
                     static_cast<std::size_t>(c.n) * sizeof(float));
@@ -389,19 +491,20 @@ void MvmPlan::apply_adjoint_multi(std::span<const cf32> X, std::span<cf32> Y,
       continue;
     }
     bool accumulate = false;
-    for (const Panel& p : c.panels) {
+    for (std::size_t pi = c.p0; pi < c.p1; ++pi) {
+      const Panel& p = s_.panels[pi];
       const float* xr = ws.yvr.data() + c.y_base + p.off;
       const float* xi = ws.yvi.data() + c.y_base + p.off;
       if (is_half(p.prec)) {
         k.hgemv_split_adjoint_multi(half_format(p.prec), p.len, c.n,
-                                    arena16_.data() + p.re,
-                                    arena16_.data() + p.im, p.ld, xr, xi,
+                                    s_.arena16.data() + p.re,
+                                    s_.arena16.data() + p.im, p.ld, xr, xi,
                                     total_rank_, ws.tr.data() + c.x_off,
                                     ws.ti.data() + c.x_off, cols_, nrhs,
                                     accumulate);
       } else {
-        k.sgemv_split_adjoint_multi(p.len, c.n, arena_.data() + p.re,
-                                    arena_.data() + p.im, p.ld, xr, xi,
+        k.sgemv_split_adjoint_multi(p.len, c.n, s_.arena.data() + p.re,
+                                    s_.arena.data() + p.im, p.ld, xr, xi,
                                     total_rank_, ws.tr.data() + c.x_off,
                                     ws.ti.data() + c.x_off, cols_, nrhs,
                                     accumulate);

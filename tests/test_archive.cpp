@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -12,6 +13,7 @@
 #include <iterator>
 
 #include "tlrwse/io/archive.hpp"
+#include "tlrwse/io/serialize.hpp"
 #include "tlrwse/mdd/metrics.hpp"
 
 namespace tlrwse::io {
@@ -542,9 +544,49 @@ struct LoaderCase {
   const char* name;
   bool shared;  // TLRS with 4-wide bands, else TLRA
   tlr::StoragePrecision precision;
+  /// TLRA only: per-tile fp32/fp16/bf16 tags instead of `precision`.
+  bool mixed = false;
+  /// TLRA only: ragged tiles in both dimensions, a third of them rank 0.
+  bool ragged = false;
 };
 
 void PrintTo(const LoaderCase& c, std::ostream* os) { *os << c.name; }
+
+tlr::MixedPrecisionPolicy all_bf16() {
+  tlr::MixedPrecisionPolicy p;
+  p.fp16_below = 0.0;
+  p.bf16_below = 2.0;  // every tile's relative norm is <= 1
+  return p;
+}
+
+/// Tags the kernels' tiles with all three precisions: the strongest keep
+/// fp32, the weakest go bf16.
+tlr::MixedPrecisionPolicy mixed_policy() {
+  tlr::MixedPrecisionPolicy p;
+  p.fp16_below = 0.8;
+  p.bf16_below = 0.6;
+  return p;
+}
+
+/// `k` with every third tile (staggered by `q`) cut to rank 0.
+tlr::TlrMatrix<cf32> with_zero_rank_tiles(const tlr::TlrMatrix<cf32>& k,
+                                          index_t q) {
+  const tlr::TileGrid& g = k.grid();
+  std::vector<la::LowRankFactors<cf32>> tiles(
+      static_cast<std::size_t>(g.num_tiles()));
+  for (index_t j = 0; j < g.nt(); ++j) {
+    for (index_t i = 0; i < g.mt(); ++i) {
+      auto& t = tiles[static_cast<std::size_t>(g.tile_index(i, j))];
+      if ((i + j + q) % 3 == 0) {
+        t.U = la::MatrixCF(g.tile_rows(i), 0);
+        t.Vh = la::MatrixCF(0, g.tile_cols(j));
+      } else {
+        t = k.tile(i, j);
+      }
+    }
+  }
+  return tlr::TlrMatrix<cf32>(g, std::move(tiles));
+}
 
 /// The case's archive at accuracy `acc`, saved to `path`.
 void save_case(const LoaderCase& c, double acc, const std::string& path) {
@@ -557,9 +599,20 @@ void save_case(const LoaderCase& c, double acc, const std::string& path) {
   } else {
     tlr::CompressionConfig cfg = cc();
     cfg.acc = acc;
+    if (c.ragged) cfg.nb = 11;  // 48 x 30 kernels: 4 + 4 rows, 8 cols left
     auto archive = build_archive(dataset(), cfg);
-    if (c.precision != tlr::StoragePrecision::kFp32) {
+    if (c.ragged) {
+      for (index_t q = 0; q < archive.num_freqs(); ++q) {
+        auto& k = archive.kernels[static_cast<std::size_t>(q)];
+        k = with_zero_rank_tiles(k, q);
+      }
+    }
+    if (c.mixed) {
+      quantize_archive(archive, mixed_policy());
+    } else if (c.precision == tlr::StoragePrecision::kFp16) {
       quantize_archive(archive, all_fp16());
+    } else if (c.precision == tlr::StoragePrecision::kBf16) {
+      quantize_archive(archive, all_bf16());
     }
     save_archive(path, archive);
   }
@@ -656,15 +709,45 @@ TEST_P(LoadKernelsRange, EveryRangeIsBitwiseAndPricedPerGranule) {
   }
   ASSERT_EQ(static_cast<index_t>(full.size()), nf);
 
+  if (c.mixed || c.ragged) {
+    // The tags split stacks into precision runs, and rank-0 tiles sit
+    // inside them.
+    std::array<int, 3> tags{};
+    int zero_rank = 0;
+    for (const auto& k : plain.kernels) {
+      for (index_t j = 0; j < k.grid().nt(); ++j) {
+        for (index_t i = 0; i < k.grid().mt(); ++i) {
+          ++tags[static_cast<std::size_t>(k.precision(i, j))];
+          zero_rank += k.rank(i, j) == 0 ? 1 : 0;
+        }
+      }
+    }
+    for (const int n : tags) {
+      EXPECT_GT(n, 0) << "fp32/fp16/bf16 tiles: " << tags[0] << "/" << tags[1]
+                      << "/" << tags[2];
+    }
+    EXPECT_EQ(zero_rank > 0, c.ragged);
+  }
+
+  // One load state across every range, fed back the storage of the kernels
+  // each range built: later ranges build into recycled arenas.
+  LoadState state;
   for (index_t q0 = 0; q0 < nf; ++q0) {
     for (index_t q1 = q0 + 1; q1 <= nf; ++q1) {
       SCOPED_TRACE(testing::Message() << "range [" << q0 << ", " << q1 << ")");
-      const LoadedKernels got = load_kernels(file.path, info, q0, q1);
+      LoadedKernels got = load_kernels(file.path, info, q0, q1, state);
       ASSERT_EQ(static_cast<index_t>(got.kernels.size()), q1 - q0);
       for (index_t q = q0; q < q1; ++q) {
         expect_same_kernel(*full[static_cast<std::size_t>(q)],
                            *got.kernels[static_cast<std::size_t>(q - q0)], q);
       }
+      for (auto& k : got.kernels) {
+        if (auto* t = dynamic_cast<mdc::TlrMvm*>(k.get())) {
+          state.spare.push_back(std::move(*t).release_storage());
+        }
+      }
+      EXPECT_EQ(state.spare.empty(), c.shared);
+      state.spare.resize(std::min<std::size_t>(state.spare.size(), 2));
       double bytes = 0.0, fp32_bytes = 0.0;
       for (std::size_t g = 0; g < info.extents.size(); ++g) {
         const ShardExtent& e = info.extents[g];
@@ -695,6 +778,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         LoaderCase{"TlraFp32", false, tlr::StoragePrecision::kFp32},
         LoaderCase{"TlraFp16", false, tlr::StoragePrecision::kFp16},
+        LoaderCase{"TlraBf16", false, tlr::StoragePrecision::kBf16},
+        LoaderCase{"TlraMixed", false, tlr::StoragePrecision::kFp32, true},
+        LoaderCase{"TlraRaggedZeroRank", false, tlr::StoragePrecision::kFp32,
+                   true, true},
         LoaderCase{"TlrsFp32", true, tlr::StoragePrecision::kFp32},
         LoaderCase{"TlrsBf16", true, tlr::StoragePrecision::kBf16}),
     [](const ::testing::TestParamInfo<LoaderCase>& p) {
@@ -724,6 +811,35 @@ TEST(OpenOperator, SharedArchiveMatchesWholeLoadBitwise) {
   opened->apply_adjoint(y, c);
   loaded->apply_adjoint(y, d);
   EXPECT_EQ(std::memcmp(c.data(), d.data(), c.size() * sizeof(float)), 0);
+}
+
+TEST(Archive, TileCountBeyondTheFileRejectedBeforeAllocation) {
+  // An 80-byte archive: one frequency, then a kernel header of 2^30 x 2^30
+  // in 2^16 tiles, i.e. 2^28 tiles whose rank table alone would take 2 GiB.
+  // The tile count cannot fit in the 0 bytes left, so the header walk
+  // rejects it before allocating anything.
+  TempFile f("tlrwse_huge_tile_count.tlra");
+  {
+    std::ofstream os(f.path, std::ios::binary);
+    auto put = [&](auto v) {
+      os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(std::uint32_t{0x544C5241});  // "TLRA"
+    put(kFormatVersion);
+    put(std::int64_t{128});  // nt
+    put(0.004);              // dt
+    put(std::int64_t{1});    // one frequency: bin, Hz
+    put(std::int64_t{3});
+    put(12.0);
+    put(kTlrMagic);
+    put(kFormatVersion);
+    put(std::int64_t{1} << 30);  // rows
+    put(std::int64_t{1} << 30);  // cols
+    put(std::int64_t{1} << 16);  // nb
+  }
+  ASSERT_EQ(std::filesystem::file_size(f.path), 80u);
+  EXPECT_THROW((void)peek_archive_extents(f.path), std::invalid_argument);
+  EXPECT_THROW((void)load_archive(f.path), std::invalid_argument);
 }
 
 TEST(Archive, RejectsCorruptFiles) {

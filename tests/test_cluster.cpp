@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -520,6 +521,28 @@ struct TempFile {
                  .string()) {}
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+TEST(ShardWorker, UnreadableArchiveLoadIsInternalNotMissing) {
+  // archive_missing means the file is absent; an existing file that is not
+  // an archive is an internal load failure on the wire.
+  TempFile file("tlrwse_worker_garbage.tlra");
+  {
+    std::ofstream os(file.path, std::ios::binary);
+    os << "garbage";
+  }
+  ShardWorker worker;
+  LoadShardMsg load;
+  load.shard_id = 1;
+  load.q_begin = 0;
+  load.q_end = 1;
+  load.archive_path = file.path;
+  const auto err = ErrorMsg::from_frame(worker.handle(load.to_frame()));
+  EXPECT_EQ(err.code, WireErrorCode::kInternal) << err.message;
+  const TempFile absent("tlrwse_worker_absent.tlra");  // never written
+  load.archive_path = absent.path;
+  EXPECT_EQ(ErrorMsg::from_frame(worker.handle(load.to_frame())).code,
+            WireErrorCode::kArchiveMissing);
+}
 
 const seismic::SeismicDataset& dataset() {
   static const seismic::SeismicDataset data = [] {

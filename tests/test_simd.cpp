@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -23,6 +24,7 @@
 #include "test_helpers.hpp"
 #include "tlrwse/la/simd.hpp"
 #include "tlrwse/mdc/mdc_operator.hpp"
+#include "tlrwse/tlr/mixed.hpp"
 #include "tlrwse/tlr/mvm_plan.hpp"
 #include "tlrwse/tlr/tlr_matrix.hpp"
 #include "tlrwse/tlr/tlr_mvm.hpp"
@@ -485,6 +487,149 @@ TEST(MvmPlan, ShuffleProgramMergesAdjacentTiles) {
   const auto& g = s.stacks.grid();
   EXPECT_LE(static_cast<index_t>(prog.size()), g.mt() * g.nt());
   EXPECT_GT(plan.arena_bytes(), 0u);
+}
+
+/// Per-tile views of a TlrMatrix's factors. With `packed`, half tiles are
+/// first packed as (re, im) 16-bit pairs into `scratch` — the bytes an
+/// archive stores for them.
+std::vector<tlr::TileFactors> tile_views(
+    const tlr::TlrMatrix<cf32>& a, bool packed,
+    std::vector<std::vector<std::uint16_t>>& scratch) {
+  const tlr::TileGrid& g = a.grid();
+  std::vector<tlr::TileFactors> views(static_cast<std::size_t>(g.num_tiles()));
+  scratch.clear();
+  scratch.reserve(2 * views.size());
+  auto pack = [&](const la::MatrixCF& m, la::HalfFormat fmt) {
+    std::vector<std::uint16_t>& buf = scratch.emplace_back();
+    for (index_t k = 0; k < m.rows() * m.cols(); ++k) {
+      buf.push_back(la::f32_to_half_bits(m.data()[k].real(), fmt));
+      buf.push_back(la::f32_to_half_bits(m.data()[k].imag(), fmt));
+    }
+    return reinterpret_cast<const std::byte*>(buf.data());
+  };
+  for (index_t j = 0; j < g.nt(); ++j) {
+    for (index_t i = 0; i < g.mt(); ++i) {
+      const auto& t = a.tile(i, j);
+      tlr::TileFactors& v = views[static_cast<std::size_t>(g.tile_index(i, j))];
+      v.ldu = t.U.rows();
+      v.ldvh = t.Vh.rows();
+      v.packed = packed && tlr::is_half(a.precision(i, j));
+      if (v.packed) {
+        const la::HalfFormat fmt = tlr::half_format(a.precision(i, j));
+        v.u = pack(t.U, fmt);
+        v.vh = pack(t.Vh, fmt);
+      } else {
+        v.u = reinterpret_cast<const std::byte*>(t.U.data());
+        v.vh = reinterpret_cast<const std::byte*>(t.Vh.data());
+      }
+    }
+  }
+  return views;
+}
+
+std::vector<index_t> rank_table(const tlr::TlrMatrix<cf32>& a) {
+  const tlr::TileGrid& g = a.grid();
+  std::vector<index_t> ranks(static_cast<std::size_t>(g.num_tiles()));
+  for (index_t j = 0; j < g.nt(); ++j) {
+    for (index_t i = 0; i < g.mt(); ++i) {
+      ranks[static_cast<std::size_t>(g.tile_index(i, j))] = a.rank(i, j);
+    }
+  }
+  return ranks;
+}
+
+/// A ragged matrix with zero-rank tiles, quantized with all three tags.
+tlr::TlrMatrix<cf32> mixed_ragged_matrix() {
+  const PlanSetup s(70, 53, 12, 1e-5, /*zero_block=*/true);
+  tlr::MixedPrecisionPolicy policy;
+  policy.fp16_below = 0.6;
+  policy.bf16_below = 0.3;
+  return tlr::quantize_tlr(s.tlr, policy).matrix;
+}
+
+template <class V>
+bool same_bytes(const V& a, const V& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+}
+
+bool same_storage(const tlr::MvmPlan::Storage& a,
+                  const tlr::MvmPlan::Storage& b) {
+  return same_bytes(a.arena, b.arena) && same_bytes(a.arena16, b.arena16);
+}
+
+TEST(MvmPlan, TileViewBuildEqualsTheStackedBuild) {
+  // The stacks, cf32 tile views and packed half views all feed the one
+  // layout and deposit: the same arena bytes and shuffle program.
+  const tlr::TlrMatrix<cf32> a = mixed_ragged_matrix();
+  ASSERT_TRUE(a.has_half_tiles());
+  tlr::MvmPlan stacked(tlr::StackedTlr<cf32>{a});
+  const std::vector<index_t> ranks = rank_table(a);
+  for (const bool packed : {false, true}) {
+    SCOPED_TRACE(packed ? "packed half views" : "cf32 views");
+    std::vector<std::vector<std::uint16_t>> scratch;
+    const auto views = tile_views(a, packed, scratch);
+    tlr::MvmPlan viewed(a.grid(), ranks, a.precision_tags(), views);
+    EXPECT_EQ(viewed.arena_bytes(), stacked.arena_bytes());
+    EXPECT_EQ(viewed.total_rank(), stacked.total_rank());
+    const auto& sp = stacked.shuffle_program();
+    const auto& vp = viewed.shuffle_program();
+    ASSERT_EQ(vp.size(), sp.size());
+    for (std::size_t k = 0; k < sp.size(); ++k) {
+      EXPECT_EQ(vp[k].src, sp[k].src);
+      EXPECT_EQ(vp[k].dst, sp[k].dst);
+      EXPECT_EQ(vp[k].len, sp[k].len);
+    }
+    EXPECT_TRUE(same_storage(std::move(viewed).release_storage(),
+                             tlr::MvmPlan(tlr::StackedTlr<cf32>{a})
+                                 .release_storage()));
+  }
+}
+
+TEST(MvmPlan, BuildIntoHandedBackStorageReusesItBitwise) {
+  const tlr::TlrMatrix<cf32> a = mixed_ragged_matrix();
+  const std::vector<index_t> ranks = rank_table(a);
+  std::vector<std::vector<std::uint16_t>> scratch;
+  const auto views = tile_views(a, true, scratch);
+  const tlr::MvmPlan fresh(a.grid(), ranks, a.precision_tags(), views);
+
+  // Storage from a plan of the same shape, its contents poisoned so that
+  // any element the build failed to write would show.
+  tlr::MvmPlan::Storage storage =
+      tlr::MvmPlan(a.grid(), ranks, a.precision_tags(), views)
+          .release_storage();
+  std::fill(storage.arena.begin(), storage.arena.end(),
+            std::numeric_limits<float>::quiet_NaN());
+  std::fill(storage.arena16.begin(), storage.arena16.end(),
+            std::uint16_t{0x7E01});
+  const float* arena = storage.arena.data();
+  const std::uint16_t* arena16 = storage.arena16.data();
+  const auto* panels = storage.panels.data();
+  const auto* shuffle = storage.shuffle.data();
+  tlr::MvmPlan reused(a.grid(), ranks, a.precision_tags(), views,
+                      std::move(storage));
+
+  std::vector<cf32> x(static_cast<std::size_t>(a.cols()));
+  std::vector<cf32> w(static_cast<std::size_t>(a.rows()));
+  for (std::size_t k = 0; k < x.size(); ++k) x[k] = cf32(0.5f, -0.25f * k);
+  for (std::size_t k = 0; k < w.size(); ++k) w[k] = cf32(0.1f * k, 1.0f);
+  tlr::PlanWorkspace ws;
+  std::vector<cf32> y1(w.size()), y2(w.size()), z1(x.size()), z2(x.size());
+  fresh.apply(x, y1, ws);
+  reused.apply(x, y2, ws);
+  fresh.apply_adjoint(w, z1, ws);
+  reused.apply_adjoint(w, z2, ws);
+  EXPECT_TRUE(same_bytes(y1, y2));
+  EXPECT_TRUE(same_bytes(z1, z2));
+
+  tlr::MvmPlan::Storage back = std::move(reused).release_storage();
+  EXPECT_EQ(back.arena.data(), arena);
+  EXPECT_EQ(back.arena16.data(), arena16);
+  EXPECT_EQ(back.panels.data(), panels);
+  EXPECT_EQ(back.shuffle.data(), shuffle);
+  EXPECT_TRUE(same_storage(
+      back, tlr::MvmPlan(a.grid(), ranks, a.precision_tags(), views)
+                .release_storage()));
 }
 
 // --------------------------------------------------- MdcOperator batch --

@@ -18,8 +18,10 @@
 //                        runs out-of-core: kernels stream disk->RAM under
 //                        that byte budget, grown to the plan's
 //                        window when too small;
-//                        --stream-verify 1 re-solves fully resident and
-//                        asserts the streamed solution is bitwise equal)
+//                        --stream-verify 1 re-solves fully resident, with
+//                        the kernels compiled from the in-memory archive,
+//                        and asserts the streamed solution is bitwise
+//                        equal)
 //   tlrwse_cli serve    --archive survey.tlra [--clients 8] [--requests 4]
 //                       [--workers 4] [--queue 64] [--batch 8] [--iters 10]
 //                       [--mode lsqr|adjoint|mixed] [--deadline-ms 0]
@@ -479,18 +481,23 @@ int cmd_solve(const Args& args) {
               mdd::nmse(sol.x, truth), mdd::correlation(sol.x, truth));
   if (streamer != nullptr) {
     const oocache::StreamStats st = streamer->stats();
-    std::printf("stream stats: %llu hits, %llu misses, %llu loads, %llu "
-                "evictions, %.1f MiB streamed, %.2fs stalled\n",
+    std::printf("stream stats: %llu hits, %llu misses, %llu loads in "
+                "%.2fs, %llu evictions, %.1f MiB streamed, %.2fs stalled\n",
                 static_cast<unsigned long long>(st.hits),
                 static_cast<unsigned long long>(st.misses),
-                static_cast<unsigned long long>(st.loads),
+                static_cast<unsigned long long>(st.loads), st.load_s,
                 static_cast<unsigned long long>(st.evictions),
                 st.bytes_streamed / (1024.0 * 1024.0), st.stall_s);
   }
   if (stream_verify && streamer != nullptr) {
-    // Ground truth: the same solve with every kernel resident. Streaming
-    // must change residency timing only, never a single bit of the result.
-    const auto resident = io::open_operator(path);
+    // Ground truth: the same solve with every kernel resident, built by
+    // the compile path (whole archive in memory, plans from the stacks)
+    // rather than by the granule loader the stream runs. Streaming must
+    // change residency timing only, never a single bit of the result.
+    const auto resident =
+        io::peek_archive(path).shared_basis
+            ? io::make_operator(io::load_shared_archive(path))
+            : io::make_operator(io::load_archive(path));
     const auto ref = mdd::solve_mdd(*resident, rhs, lsqr);
     const bool bitwise =
         ref.x.size() == sol.x.size() &&
