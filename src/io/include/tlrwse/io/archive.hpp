@@ -45,8 +45,8 @@ struct KernelArchive {
     const seismic::SeismicDataset& data,
     const tlr::CompressionConfig& compression);
 
-/// Binary round trip. The format embeds the per-kernel TLR containers of
-/// serialize.hpp after a band-metadata header.
+/// Binary round trip. A band-metadata header, then each kernel as the
+/// exact bytes save_tlr (serialize.hpp) writes for it alone.
 void save_archive(const std::string& path, const KernelArchive& archive);
 [[nodiscard]] KernelArchive load_archive(const std::string& path);
 

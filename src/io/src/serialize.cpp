@@ -1,86 +1,16 @@
 #include "tlrwse/io/serialize.hpp"
 
-#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <vector>
 
+#include "codec.hpp"
 #include "tlrwse/common/error.hpp"
-#include "tlrwse/la/half.hpp"
-#include "tlrwse/tlr/precision.hpp"
 
 namespace tlrwse::io {
 
 namespace {
-
-void write_u32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void write_i64(std::ostream& os, std::int64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-std::uint32_t read_u32(std::istream& is) {
-  std::uint32_t v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-std::int64_t read_i64(std::istream& is) {
-  std::int64_t v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-
-// Half-precision payloads (format version 2) store each complex element as
-// two packed uint16 — (re bits, im bits) — in the matrix's storage order.
-// Values were pre-rounded through the same la/half.hpp conversions at
-// quantize time, so pack -> widen reproduces them bitwise.
-void write_matrix_payload(std::ostream& os, const la::MatrixCF& m,
-                          tlr::StoragePrecision p = tlr::StoragePrecision::kFp32) {
-  write_i64(os, m.rows());
-  write_i64(os, m.cols());
-  if (!tlr::is_half(p)) {
-    os.write(reinterpret_cast<const char*>(m.data()),
-             static_cast<std::streamsize>(static_cast<std::size_t>(m.size()) *
-                                          sizeof(cf32)));
-    return;
-  }
-  const la::HalfFormat fmt = tlr::half_format(p);
-  const cf32* d = m.data();
-  std::vector<std::uint16_t> buf(2 * static_cast<std::size_t>(m.size()));
-  for (std::size_t k = 0; k < static_cast<std::size_t>(m.size()); ++k) {
-    buf[2 * k] = la::f32_to_half_bits(d[k].real(), fmt);
-    buf[2 * k + 1] = la::f32_to_half_bits(d[k].imag(), fmt);
-  }
-  os.write(reinterpret_cast<const char*>(buf.data()),
-           static_cast<std::streamsize>(buf.size() * sizeof(std::uint16_t)));
-}
-
-la::MatrixCF read_matrix_payload(
-    std::istream& is,
-    tlr::StoragePrecision p = tlr::StoragePrecision::kFp32) {
-  const index_t rows = read_i64(is);
-  const index_t cols = read_i64(is);
-  TLRWSE_REQUIRE(rows >= 0 && cols >= 0, "corrupt matrix header");
-  la::MatrixCF m(rows, cols);
-  if (!tlr::is_half(p)) {
-    is.read(reinterpret_cast<char*>(m.data()),
-            static_cast<std::streamsize>(static_cast<std::size_t>(m.size()) *
-                                         sizeof(cf32)));
-    if (!is) throw std::runtime_error("tlrwse::io: truncated matrix payload");
-    return m;
-  }
-  const la::HalfFormat fmt = tlr::half_format(p);
-  std::vector<std::uint16_t> buf(2 * static_cast<std::size_t>(m.size()));
-  is.read(reinterpret_cast<char*>(buf.data()),
-          static_cast<std::streamsize>(buf.size() * sizeof(std::uint16_t)));
-  if (!is) throw std::runtime_error("tlrwse::io: truncated matrix payload");
-  cf32* d = m.data();
-  for (std::size_t k = 0; k < static_cast<std::size_t>(m.size()); ++k) {
-    d[k] = cf32(la::half_bits_to_f32(buf[2 * k], fmt),
-                la::half_bits_to_f32(buf[2 * k + 1], fmt));
-  }
-  return m;
-}
 
 std::ofstream open_out(const std::string& path) {
   std::ofstream os(path, std::ios::binary);
@@ -98,110 +28,54 @@ std::ifstream open_in(const std::string& path) {
 
 void save_matrix(const std::string& path, const la::MatrixCF& m) {
   auto os = open_out(path);
-  write_u32(os, kDenseMagic);
-  write_u32(os, kFormatVersion);
-  write_matrix_payload(os, m);
+  codec::put_u32(os, kDenseMagic);
+  codec::put_u32(os, kFormatVersion);
+  codec::write_matrix(os, m);
   if (!os) throw std::runtime_error("tlrwse::io: write failed: " + path);
 }
 
 la::MatrixCF load_matrix(const std::string& path) {
   auto is = open_in(path);
-  if (read_u32(is) != kDenseMagic) {
+  codec::StreamReader in(is);
+  if (codec::get<std::uint32_t>(in) != kDenseMagic) {
     throw std::runtime_error("tlrwse::io: bad magic in " + path);
   }
-  if (read_u32(is) != kFormatVersion) {
+  if (codec::get<std::uint32_t>(in) != kFormatVersion) {
     throw std::runtime_error("tlrwse::io: unsupported version in " + path);
   }
-  return read_matrix_payload(is);
+  const auto rows = codec::get<std::int64_t>(in);
+  const auto cols = codec::get<std::int64_t>(in);
+  // The payload must fill the rest of the file exactly; checked before the
+  // matrix is allocated.
+  TLRWSE_REQUIRE(rows >= 0 && cols >= 0 && rows <= codec::kMaxDim &&
+                     cols <= codec::kMaxDim &&
+                     in.left() % static_cast<std::int64_t>(sizeof(cf32)) == 0 &&
+                     rows * cols == in.left() /
+                                        static_cast<std::int64_t>(sizeof(cf32)),
+                 "corrupt matrix header in ", path, ": ", rows, " x ", cols,
+                 " does not fill the ", in.left(), " bytes left");
+  la::MatrixCF m(rows, cols);
+  in.read(m.data(), in.left());
+  return m;
 }
 
 void save_tlr(const std::string& path, const tlr::TlrMatrix<cf32>& m) {
   auto os = open_out(path);
-  const bool mixed = m.has_half_tiles();
-  write_u32(os, kTlrMagic);
-  write_u32(os, mixed ? kFormatVersionMixed : kFormatVersion);
-  const auto& g = m.grid();
-  write_i64(os, g.rows());
-  write_i64(os, g.cols());
-  write_i64(os, g.nb());
-  for (index_t j = 0; j < g.nt(); ++j) {
-    for (index_t i = 0; i < g.mt(); ++i) {
-      write_i64(os, m.rank(i, j));
-    }
-  }
-  if (mixed) {
-    for (index_t j = 0; j < g.nt(); ++j) {
-      for (index_t i = 0; i < g.mt(); ++i) {
-        const auto tag = static_cast<std::uint8_t>(m.precision(i, j));
-        os.write(reinterpret_cast<const char*>(&tag), 1);
-      }
-    }
-  }
-  for (index_t j = 0; j < g.nt(); ++j) {
-    for (index_t i = 0; i < g.mt(); ++i) {
-      const auto& t = m.tile(i, j);
-      const tlr::StoragePrecision p =
-          mixed ? m.precision(i, j) : tlr::StoragePrecision::kFp32;
-      write_matrix_payload(os, t.U, p);
-      write_matrix_payload(os, t.Vh, p);
-    }
-  }
+  codec::write_tlr_kernel(os, m);
   if (!os) throw std::runtime_error("tlrwse::io: write failed: " + path);
 }
 
 tlr::TlrMatrix<cf32> load_tlr(const std::string& path) {
   auto is = open_in(path);
-  if (read_u32(is) != kTlrMagic) {
-    throw std::runtime_error("tlrwse::io: bad magic in " + path);
-  }
-  const std::uint32_t version = read_u32(is);
-  if (version != kFormatVersion && version != kFormatVersionMixed) {
-    throw std::runtime_error("tlrwse::io: unsupported version in " + path);
-  }
-  const index_t rows = read_i64(is);
-  const index_t cols = read_i64(is);
-  const index_t nb = read_i64(is);
-  const tlr::TileGrid g(rows, cols, nb);
-  std::vector<index_t> ranks(static_cast<std::size_t>(g.num_tiles()));
-  for (index_t j = 0; j < g.nt(); ++j) {
-    for (index_t i = 0; i < g.mt(); ++i) {
-      ranks[static_cast<std::size_t>(g.tile_index(i, j))] = read_i64(is);
-    }
-  }
-  std::vector<tlr::StoragePrecision> prec(
-      static_cast<std::size_t>(g.num_tiles()), tlr::StoragePrecision::kFp32);
-  if (version == kFormatVersionMixed) {
-    for (index_t j = 0; j < g.nt(); ++j) {
-      for (index_t i = 0; i < g.mt(); ++i) {
-        std::uint8_t tag{};
-        is.read(reinterpret_cast<char*>(&tag), 1);
-        TLRWSE_REQUIRE(tlr::valid_precision_tag(tag),
-                       "corrupt precision table in ", path);
-        prec[static_cast<std::size_t>(g.tile_index(i, j))] =
-            static_cast<tlr::StoragePrecision>(tag);
-      }
-    }
-    if (!is) throw std::runtime_error("tlrwse::io: truncated file: " + path);
-  }
-  std::vector<la::LowRankFactors<cf32>> tiles(
-      static_cast<std::size_t>(g.num_tiles()));
-  for (index_t j = 0; j < g.nt(); ++j) {
-    for (index_t i = 0; i < g.mt(); ++i) {
-      const auto idx = static_cast<std::size_t>(g.tile_index(i, j));
-      la::LowRankFactors<cf32> t;
-      t.U = read_matrix_payload(is, prec[idx]);
-      t.Vh = read_matrix_payload(is, prec[idx]);
-      TLRWSE_REQUIRE(t.U.cols() == ranks[idx] && t.Vh.rows() == ranks[idx],
-                     "rank table mismatch in ", path);
-      TLRWSE_REQUIRE(t.U.rows() == g.tile_rows(i) &&
-                         t.Vh.cols() == g.tile_cols(j),
-                     "tile shape mismatch in ", path);
-      tiles[idx] = std::move(t);
-    }
-  }
-  tlr::TlrMatrix<cf32> out(g, std::move(tiles));
-  if (version == kFormatVersionMixed) out.set_precision_tags(std::move(prec));
-  return out;
+  // The file is one kernel, parsed as a granule that fills it.
+  std::vector<char> staging;
+  codec::TlrGranule granule;
+  codec::parse_tlr_granule(
+      codec::read_granule(
+          is, 0, static_cast<std::int64_t>(std::filesystem::file_size(path)),
+          staging),
+      path, 0, granule);
+  return codec::to_tlr_matrix(granule);
 }
 
 }  // namespace tlrwse::io

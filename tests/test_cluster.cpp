@@ -620,8 +620,10 @@ LocalFleet make_fleet(int n) {
     auto chan = std::make_unique<LocalChannel>(
         [worker](const Frame& f) { return worker->handle(f); });
     fleet.channels.push_back(chan.get());
-    fleet.clients.push_back(std::make_unique<WorkerClient>(
-        std::move(chan), "w" + std::to_string(i)));
+    std::string name = "w";
+    name += std::to_string(i);
+    fleet.clients.push_back(
+        std::make_unique<WorkerClient>(std::move(chan), std::move(name)));
   }
   return fleet;
 }
